@@ -5,7 +5,7 @@ from .feedforward import FeedforwardPlan, Strategy
 from .herald import HeraldNoYieldError, HeraldWindow
 from .montecarlo import TrajectoryBatch
 from .qkd import Attack, Detection, Direction, EffectiveChannel, KeyRateReport
-from .states import GaussianState, SymplecticMap
+from .states import GaussianState
 
 __all__ = [
     "Attack",
@@ -20,7 +20,6 @@ __all__ = [
     "HeraldWindow",
     "KeyRateReport",
     "Strategy",
-    "SymplecticMap",
     "TapConfig",
     "TrajectoryBatch",
 ]

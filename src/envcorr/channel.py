@@ -3,13 +3,13 @@
 The channel couples the signal to a thermal environment on a beam splitter
 of transmission eta. A fraction gamma of the leaked environment mode is
 split off and sent to a tap detector (homodyne on one quadrature, or
-heterodyne on both); the detector's partition vacuum is wired in so that
-the designated tap mode carries exactly the measured quadratures.
+heterodyne on both).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,20 +23,10 @@ class Detector(enum.Enum):
     HOMODYNE_P = "homodyne-p"
     HETERODYNE = "heterodyne"
 
-    @property
-    def x_weight(self) -> float:
-        """Fraction of the tap mode routed to the X read-out port."""
-        return {"homodyne-x": 1.0, "homodyne-p": 0.0, "heterodyne": 0.5}[self.value]
-
-    @property
-    def split(self) -> float:
-        """Detector sharpness: 1 for homodyne, 1/2 for heterodyne."""
-        return 0.5 if self is Detector.HETERODYNE else 1.0
-
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Transmission eta in (0,1] and environment variance v_env >= 1."""
+    """Transmission eta in (0,1] and finite environment variance v_env >= 1."""
 
     eta: float
     v_env: float
@@ -44,8 +34,8 @@ class ChannelParams:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
-        if self.v_env < 1.0:
-            raise ValueError("v_env must be >= 1 (thermal or vacuum environment)")
+        if not 1.0 <= self.v_env < math.inf:
+            raise ValueError("v_env must be finite and >= 1 (thermal or vacuum environment)")
 
 
 @dataclass(frozen=True)
@@ -66,27 +56,6 @@ def _apply_linear(state: GaussianState, m: np.ndarray) -> GaussianState:
     return GaussianState(m @ state.mean, 0.5 * (cov + cov.T))
 
 
-def _detector_wiring(x_weight: float, n_modes: int, tap: int, aux: int) -> np.ndarray:
-    """Quadrature reshuffle putting the measured combinations on the tap mode.
-
-    X_tap' = sqrt(w) X_tap + sqrt(1-w) X_aux
-    P_tap' = sqrt(1-w) P_tap - sqrt(w) P_aux
-
-    The aux mode takes the orthogonal combinations, keeping the map
-    orthogonal. X and P of the rewired tap mode commute: this is read-out
-    bookkeeping, not a symplectic transformation.
-    """
-    w, c = np.sqrt(x_weight), np.sqrt(1.0 - x_weight)
-    m = np.eye(2 * n_modes)
-    xt, pt = 2 * tap, 2 * tap + 1
-    xa, pa = 2 * aux, 2 * aux + 1
-    m[xt, xt], m[xt, xa] = w, c
-    m[xa, xt], m[xa, xa] = c, -w
-    m[pt, pt], m[pt, pa] = c, -w
-    m[pa, pt], m[pa, pa] = w, c
-    return m
-
-
 def signal_tap_state(
     ch: ChannelParams, tap: TapConfig, input_state: GaussianState
 ) -> GaussianState:
@@ -103,23 +72,6 @@ def signal_tap_state(
     joint = _apply_linear(joint, states.splitter_matrix(ch.eta, 0, 1, 3))
     joint = _apply_linear(joint, states.splitter_matrix(tap.gamma, 1, 2, 3))
     return states.partial_trace(joint, [0, 1])
-
-
-def build_plant(
-    ch: ChannelParams, tap: TapConfig, input_state: GaussianState
-) -> GaussianState:
-    """Joint 4-mode state (signal, tap, tap-vac1, tap-vac2) after the tap.
-
-    Mode 1's quadratures carry the detector's measured combinations, so its
-    (X, P) marginal equals the tap read-out statistics.
-    """
-    if input_state.n_modes != 1:
-        raise ValueError("input must be a single-mode state")
-    joint = states.tensor(input_state, states.thermal(ch.v_env))
-    joint = states.tensor(joint, states.vacuum(2))
-    joint = _apply_linear(joint, states.splitter_matrix(ch.eta, 0, 1, 4))
-    joint = _apply_linear(joint, states.splitter_matrix(tap.gamma, 1, 2, 4))
-    return _apply_linear(joint, _detector_wiring(tap.detector.x_weight, 4, 1, 3))
 
 
 def added_noise_uncorrected(ch: ChannelParams) -> float:

@@ -26,13 +26,34 @@ from . import channel as channel_mod
 from . import feedforward, herald, montecarlo, qkd
 from .channel import ChannelParams, Detector, TapConfig
 from .herald import HeraldNoYieldError, HeraldWindow
-from .qkd import Attack, Detection, Direction, EffectiveChannel
+from .qkd import Attack, EffectiveChannel
 
 SCHEMA_VERSION = "v1"
 DEFAULT_SEED = 20240817
 GAIN_PROBE_MEAN = (10.0, 10.0)
+KEY_RATES = ("k_direct", "k_direct_asymptotic", "k_reverse", "k_reverse_asymptotic")
 
-STRATEGIES = ("none", "erasing-hom", "erasing-het", "optimal", "herald")
+# strategy -> (gain, added noise) quantities of its corrected channel, which
+# `run` feeds to the key-rate formulas, and the quantities `run` prints
+STRATEGIES = {
+    "none": ("channel_gain_uncorrected", "added_noise_uncorrected", (
+        "added_noise_uncorrected", "excess_noise",
+        "receiver_added_noise_no_ff", "channel_gain_uncorrected",
+    )),
+    "erasing-hom": ("gain_hom_ff", "added_noise_hom_ff", (
+        "added_noise_uncorrected", "added_noise_hom_ff", "gain_hom_ff",
+    )),
+    "erasing-het": ("gain_erasing", "added_noise_het_state", (
+        "added_noise_uncorrected", "added_noise_het_state",
+        "receiver_added_noise_no_ff", "receiver_added_noise_ff", "gain_erasing",
+    )),
+    "optimal": ("optimal_gain", "optimal_added_noise", (
+        "added_noise_uncorrected", "optimal_added_noise", "optimal_gain",
+    )),
+    "herald": ("zero_window_gain", "zero_window_added_noise", (
+        "added_noise_uncorrected", "zero_window_added_noise", "zero_window_gain",
+    )),
+}
 DETECTORS = {d.value: d for d in Detector}
 
 
@@ -49,12 +70,30 @@ def _need(raw: dict, key: str, where: str):
     return raw[key]
 
 
+def _section(raw: dict, key: str, required: bool = False) -> dict:
+    value = _need(raw, key, "config") if required else raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected a JSON object")
+    return value
+
+
 def _number(value, where: str, allow_inf: bool = False) -> float:
+    """A JSON number; NaN is refused, and +-inf unless the field allows it."""
     if value == "inf" and allow_inf:
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if math.isnan(value) or (math.isinf(value) and not allow_inf):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return value
+
+
+def _whole(value, where: str) -> int:
+    number = _number(value, where)
+    if not number.is_integer():
+        raise ConfigError(f"{where}: expected a whole number, got {value!r}")
+    return int(number)
 
 
 def _check_keys(raw: dict, allowed: set[str], where: str) -> None:
@@ -69,7 +108,7 @@ def parse_config(raw: dict) -> dict:
         raise ConfigError("config: expected a JSON object")
     _check_keys(raw, {"channel", "tap", "strategy", "window", "mc", "qkd", "output"}, "config")
 
-    ch_raw = _need(raw, "channel", "config")
+    ch_raw = _section(raw, "channel", required=True)
     _check_keys(ch_raw, {"eta", "v_env"}, "channel")
     try:
         ch = ChannelParams(
@@ -79,7 +118,7 @@ def parse_config(raw: dict) -> dict:
     except ValueError as exc:
         raise ConfigError(f"channel: {exc}") from None
 
-    tap_raw = _need(raw, "tap", "config")
+    tap_raw = _section(raw, "tap", required=True)
     _check_keys(tap_raw, {"gamma", "detector"}, "tap")
     det_name = tap_raw.get("detector", "heterodyne")
     if det_name not in DETECTORS:
@@ -93,13 +132,13 @@ def parse_config(raw: dict) -> dict:
 
     strategy = raw.get("strategy", "none")
     if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy: must be one of {STRATEGIES}")
+        raise ConfigError(f"strategy: must be one of {tuple(STRATEGIES)}")
 
     window = None
     if "window" in raw:
         if strategy != "herald":
             raise ConfigError("window: only valid with strategy 'herald'")
-        w_raw = raw["window"]
+        w_raw = _section(raw, "window")
         _check_keys(w_raw, {"x_th", "p_th"}, "window")
         try:
             window = HeraldWindow(
@@ -111,10 +150,10 @@ def parse_config(raw: dict) -> dict:
     elif strategy == "herald":
         raise ConfigError("window: required with strategy 'herald'")
 
-    mc_raw = raw.get("mc", {})
+    mc_raw = _section(raw, "mc")
     _check_keys(mc_raw, {"n", "seed"}, "mc")
-    n = int(_number(mc_raw.get("n", 0), "mc.n"))
-    seed = int(_number(mc_raw.get("seed", DEFAULT_SEED), "mc.seed"))
+    n = _whole(mc_raw.get("n", 0), "mc.n")
+    seed = _whole(mc_raw.get("seed", DEFAULT_SEED), "mc.seed")
     if n < 0 or (0 < n < 10_000):
         raise ConfigError("mc.n: statistical runs need n >= 10000 (or 0 to disable)")
     if not 0 <= seed < 2**64:
@@ -124,20 +163,17 @@ def parse_config(raw: dict) -> dict:
 
     qkd_cfg = None
     if "qkd" in raw:
-        q_raw = raw["qkd"]
-        _check_keys(q_raw, {"sigma", "attack", "direction"}, "qkd")
+        q_raw = _section(raw, "qkd")
+        _check_keys(q_raw, {"sigma", "attack"}, "qkd")
         sigma = _number(q_raw.get("sigma", 40.0), "qkd.sigma")
         if sigma <= 0:
             raise ConfigError("qkd.sigma: must be positive")
         attack = q_raw.get("attack", "collective")
         if attack not in (a.value for a in Attack):
             raise ConfigError("qkd.attack: must be 'individual' or 'collective'")
-        direction = q_raw.get("direction", "direct")
-        if direction not in (d.value for d in Direction):
-            raise ConfigError("qkd.direction: must be 'direct' or 'reverse'")
-        qkd_cfg = {"sigma": sigma, "attack": Attack(attack), "direction": Direction(direction)}
+        qkd_cfg = {"sigma": sigma, "attack": Attack(attack)}
 
-    out_raw = raw.get("output", {})
+    out_raw = _section(raw, "output")
     _check_keys(out_raw, {"path", "format"}, "output")
     fmt = out_raw.get("format", "csv")
     if fmt not in ("csv", "json", "both"):
@@ -213,58 +249,62 @@ def _avg(pair):
     return 0.5 * (vx + vp), 0.5 * math.hypot(sx, sp)
 
 
-def mc_counterparts(ch: ChannelParams, gamma: float, n: int, seed: int) -> dict:
-    """MC estimate (value, stderr) for each closed form at one grid point.
+def mc_counterparts(
+    ch: ChannelParams, gamma: float, n: int, seed: int, quantities
+) -> dict:
+    """MC estimate (value, stderr) for the requested closed forms at one point.
 
-    Each formula is probed with its own tap detector kind at the given
-    gamma; seeds are offset per batch so the estimates are independent.
+    Each formula is probed with its own tap detector kind at the given gamma.
+    Only the batches the requested quantities need are drawn, each at a fixed
+    seed offset, so an estimate does not depend on what else was requested.
     """
-    out = {}
+    want = set(quantities)
     het = TapConfig(gamma, Detector.HETERODYNE)
     hom = TapConfig(gamma, Detector.HOMODYNE_X)
+    erasing = gamma >= feedforward.MIN_ERASING_GAMMA
+    out = {}
 
-    base = montecarlo.sample(ch, het, GAIN_PROBE_MEAN, None, n, seed)
-    state = montecarlo.estimate_added_noise(base, ch.eta, "signal")
-    out["added_noise_uncorrected"] = _avg(state)
-    out["excess_noise"] = (
-        out["added_noise_uncorrected"][0] - (1.0 - ch.eta) / ch.eta,
-        out["added_noise_uncorrected"][1],
-    )
-    out["receiver_added_noise_no_ff"] = _avg(
-        montecarlo.estimate_added_noise(base, ch.eta, "receiver")
-    )
-    out["channel_gain_uncorrected"] = montecarlo.estimate_gain(base, GAIN_PROBE_MEAN)
-    zero = montecarlo.estimate_zero_window(base, GAIN_PROBE_MEAN)
-    out["zero_window_added_noise"] = _avg(
-        (zero["added_noise_x"], zero["added_noise_p"])
-    )
-    out["zero_window_gain"] = zero["gain"]
+    def draw(tap, plan, offset):
+        return montecarlo.sample(ch, tap, GAIN_PROBE_MEAN, plan, n, seed + offset)
 
-    if gamma >= feedforward.MIN_ERASING_GAMMA:
+    def noise(batch, gain, where="signal"):
+        return _avg(montecarlo.estimate_added_noise(batch, gain, where))
+
+    zero_window = {"zero_window_added_noise", "zero_window_gain"}
+    if want & {
+        "added_noise_uncorrected", "excess_noise",
+        "receiver_added_noise_no_ff", "channel_gain_uncorrected", *zero_window,
+    }:
+        base = draw(het, None, 0)
+        value, err = noise(base, ch.eta)
+        out["added_noise_uncorrected"] = (value, err)
+        out["excess_noise"] = (value - (1.0 - ch.eta) / ch.eta, err)
+        out["receiver_added_noise_no_ff"] = noise(base, ch.eta, "receiver")
+        out["channel_gain_uncorrected"] = montecarlo.estimate_gain(base, GAIN_PROBE_MEAN)
+        if want & zero_window:
+            zero = montecarlo.estimate_zero_window(base, GAIN_PROBE_MEAN)
+            out["zero_window_added_noise"] = _avg((zero["added_noise_x"], zero["added_noise_p"]))
+            out["zero_window_gain"] = zero["gain"]
+
+    if erasing and want & {"added_noise_hom_ff", "gain_hom_ff"}:
         plan = feedforward.plan_erasing_homodyne(ch, hom)
-        batch = montecarlo.sample(ch, hom, GAIN_PROBE_MEAN, plan, n, seed + 1)
-        noise = montecarlo.estimate_added_noise(batch, plan.optical_gain, "signal")
-        out["added_noise_hom_ff"] = noise[0]  # corrected quadrature only
-        out["gain_hom_ff"] = montecarlo.estimate_gain(
-            batch, GAIN_PROBE_MEAN, quadratures=("x",)
-        )
+        batch = draw(hom, plan, 1)
+        noise_x, _ = montecarlo.estimate_added_noise(batch, plan.optical_gain, "signal")
+        out["added_noise_hom_ff"] = noise_x  # corrected quadrature only
+        out["gain_hom_ff"] = montecarlo.estimate_gain(batch, GAIN_PROBE_MEAN, ("x",))
 
+    if erasing and want & {"added_noise_het_state", "receiver_added_noise_ff", "gain_erasing"}:
         plan = feedforward.plan_erasing_heterodyne(ch, het)
-        batch = montecarlo.sample(ch, het, GAIN_PROBE_MEAN, plan, n, seed + 2)
-        out["added_noise_het_state"] = _avg(
-            montecarlo.estimate_added_noise(batch, plan.optical_gain, "signal")
-        )
-        out["receiver_added_noise_ff"] = _avg(
-            montecarlo.estimate_added_noise(batch, plan.optical_gain, "receiver")
-        )
+        batch = draw(het, plan, 2)
+        out["added_noise_het_state"] = noise(batch, plan.optical_gain)
+        out["receiver_added_noise_ff"] = noise(batch, plan.optical_gain, "receiver")
         out["gain_erasing"] = montecarlo.estimate_gain(batch, GAIN_PROBE_MEAN)
 
-    plan = feedforward.plan_optimal_heterodyne(ch, het)
-    batch = montecarlo.sample(ch, het, GAIN_PROBE_MEAN, plan, n, seed + 3)
-    out["optimal_added_noise"] = _avg(
-        montecarlo.estimate_added_noise(batch, plan.optical_gain, "signal")
-    )
-    out["optimal_gain"] = montecarlo.estimate_gain(batch, GAIN_PROBE_MEAN)
+    if want & {"optimal_added_noise", "optimal_gain"}:
+        plan = feedforward.plan_optimal_heterodyne(ch, het)
+        batch = draw(het, plan, 3)
+        out["optimal_added_noise"] = noise(batch, plan.optical_gain)
+        out["optimal_gain"] = montecarlo.estimate_gain(batch, GAIN_PROBE_MEAN)
     return out
 
 
@@ -299,44 +339,14 @@ def formula_values(ch: ChannelParams, tap: TapConfig) -> dict:
     }
 
 
-_STRATEGY_CHANNEL = {
-    # strategy -> (gain, state added noise) quantity names
-    "none": ("channel_gain_uncorrected", "added_noise_uncorrected"),
-    "erasing-hom": ("gain_hom_ff", "added_noise_hom_ff"),
-    "erasing-het": ("gain_erasing", "added_noise_het_state"),
-    "optimal": ("optimal_gain", "optimal_added_noise"),
-    "herald": ("zero_window_gain", "zero_window_added_noise"),
-}
-
-_STRATEGY_QUANTITIES = {
-    "none": (
-        "added_noise_uncorrected",
-        "excess_noise",
-        "receiver_added_noise_no_ff",
-        "channel_gain_uncorrected",
-    ),
-    "erasing-hom": ("added_noise_uncorrected", "added_noise_hom_ff", "gain_hom_ff"),
-    "erasing-het": (
-        "added_noise_uncorrected",
-        "added_noise_het_state",
-        "receiver_added_noise_no_ff",
-        "receiver_added_noise_ff",
-        "gain_erasing",
-    ),
-    "optimal": ("added_noise_uncorrected", "optimal_added_noise", "optimal_gain"),
-    "herald": ("added_noise_uncorrected", "zero_window_added_noise", "zero_window_gain"),
-}
-
-
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     ch, tap = cfg["channel"], cfg["tap"]
+    gain_key, noise_key, quantities = STRATEGIES[cfg["strategy"]]
     formulas = formula_values(ch, tap)
-    mc = (
-        mc_counterparts(ch, tap.gamma, cfg["n"], cfg["seed"])
-        if cfg["n"] > 0
-        else {}
-    )
+    mc = {}
+    if cfg["n"] > 0:
+        mc = mc_counterparts(ch, tap.gamma, cfg["n"], cfg["seed"], quantities)
 
     context = [ch.eta, ch.v_env, tap.gamma, tap.detector.value, cfg["strategy"]]
     header = [
@@ -344,7 +354,7 @@ def cmd_run(args) -> int:
         "quantity", "formula", "mc_estimate", "mc_stderr",
     ]
     rows = []
-    for name in _STRATEGY_QUANTITIES[cfg["strategy"]]:
+    for name in quantities:
         est = mc.get(name, ("", ""))
         rows.append(context + [name, formulas[name], est[0], est[1]])
 
@@ -362,7 +372,6 @@ def cmd_run(args) -> int:
             rows.append(context + [name, "", value, err])
 
     if cfg["qkd"]:
-        gain_key, noise_key = _STRATEGY_CHANNEL[cfg["strategy"]]
         gain, noise = formulas[gain_key], formulas[noise_key]
         if math.isfinite(noise):
             try:
@@ -374,13 +383,8 @@ def cmd_run(args) -> int:
             except ValueError:
                 rows.append(context + ["k_rates", "no_deterministic_dilation", "", ""])
             else:
-                for name, value in (
-                    ("k_direct", report.k_direct),
-                    ("k_direct_asymptotic", report.k_direct_asymptotic),
-                    ("k_reverse", report.k_reverse),
-                    ("k_reverse_asymptotic", report.k_reverse_asymptotic),
-                ):
-                    rows.append(context + [name, value, "", ""])
+                for name in KEY_RATES:
+                    rows.append(context + [name, getattr(report, name), "", ""])
 
     outdir = _outdir(args)
     stem = cfg["out_path"]
@@ -407,18 +411,19 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("values: at least one value required")
 
-    quantities = [
+    # the `sweep` CSV columns, in order
+    quantities = (
         "added_noise_uncorrected", "excess_noise",
         "added_noise_hom_ff", "added_noise_het_state",
         "receiver_added_noise_no_ff", "receiver_added_noise_ff",
         "optimal_added_noise", "optimal_gain",
         "zero_window_added_noise", "zero_window_gain",
-    ]
-    flags = [
+    )
+    flags = (
         "entanglement_preserving", "collective_secure",
         "improves_hom", "improves_het_state", "improves_het_receiver",
-    ]
-    header = ["eta", "v_env", "gamma", "detector"] + quantities[:]
+    )
+    header = ["eta", "v_env", "gamma", "detector", *quantities]
     if cfg["n"] > 0:
         for q in quantities:
             header += [f"{q}_mc", f"{q}_stderr"]
@@ -440,10 +445,9 @@ def cmd_sweep(args) -> int:
         row = [ch.eta, ch.v_env, tap.gamma, tap.detector.value]
         row += [formulas[q] for q in quantities]
         if cfg["n"] > 0:
-            mc = mc_counterparts(ch, tap.gamma, cfg["n"], cfg["seed"])
+            mc = mc_counterparts(ch, tap.gamma, cfg["n"], cfg["seed"], quantities)
             for q in quantities:
-                est = mc.get(q, ("", ""))
-                row += [est[0], est[1]]
+                row += mc.get(q, ("", ""))
         row += [formulas[q] for q in flags]
         rows.append(row)
 
@@ -550,8 +554,9 @@ def _preset_fig5(n: int, seed: int):
         "added_noise_p", "added_noise_p_stderr",
         "gain", "gain_stderr", "v_add_no_selection", "v_add_floor",
     ]
+    if n < 10_000:
+        raise ConfigError("--n: fig5 is statistical and needs n >= 10000")
     rows = []
-    n = max(n, 10_000)
     for target in FIG5_TARGETS:
         v_env = (eta * target - 1.0) / (1.0 - eta)
         ch = ChannelParams(eta, v_env)
@@ -586,10 +591,7 @@ def _preset_table1(n: int, seed: int, measured_path: str = ""):
     del n, seed  # analytic preset
     ch = ChannelParams(0.9, 25.0)
     sigma = 40.0
-    header = [
-        "gamma", "v_add_theory", "gain_theory",
-        "k_direct", "k_direct_asymptotic", "k_reverse", "k_reverse_asymptotic",
-    ]
+    header = ["gamma", "v_add_theory", "gain_theory", *KEY_RATES]
     measured = {}
     if measured_path:
         for line in Path(measured_path).read_text(encoding="utf-8").splitlines()[1:]:
@@ -607,11 +609,7 @@ def _preset_table1(n: int, seed: int, measured_path: str = ""):
         noise = feedforward.optimal_added_noise(ch, tap)
         gain = feedforward.plan_optimal_heterodyne(ch, tap).optical_gain
         report = qkd.key_rate(EffectiveChannel(gain, noise), sigma, Attack.COLLECTIVE)
-        row = [
-            gamma, noise, gain,
-            report.k_direct, report.k_direct_asymptotic,
-            report.k_reverse, report.k_reverse_asymptotic,
-        ]
+        row = [gamma, noise, gain, *(getattr(report, name) for name in KEY_RATES)]
         if measured:
             if gamma in measured:
                 vx, vp, g_meas = measured[gamma]

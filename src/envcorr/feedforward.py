@@ -12,9 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from . import states
 from .channel import ChannelParams, Detector, TapConfig
-from .states import GaussianState
 
 # erasing gains diverge as gamma -> 0; refuse to build degenerate plans
 MIN_ERASING_GAMMA = 1e-6
@@ -126,24 +124,3 @@ def optimal_added_noise(ch: ChannelParams, tap: TapConfig) -> float:
     """
     eta, gamma, v = ch.eta, tap.gamma, ch.v_env
     return (1.0 - eta) * (2.0 - gamma) * v / (eta * (2.0 - gamma) + gamma * v)
-
-
-def apply_feedforward(
-    signal: GaussianState, tap_outcome, plan: FeedforwardPlan
-) -> GaussianState:
-    """Displace a single-mode signal by the gain-scaled tap outcome.
-
-    Homodyne plans take a scalar outcome; heterodyne plans take (x, p).
-    """
-    if signal.n_modes != 1:
-        raise ValueError("feedforward applies to a single-mode signal")
-    if plan.strategy is Strategy.ERASING_HOMODYNE:
-        if not isinstance(tap_outcome, (int, float)):
-            raise ValueError("homodyne plan expects a scalar outcome")
-        value = float(tap_outcome)
-        return states.displace(signal, 0, plan.g_x * value, plan.g_p * value)
-    try:
-        x, p = tap_outcome
-    except (TypeError, ValueError):
-        raise ValueError("heterodyne plan expects an (x, p) outcome") from None
-    return states.displace(signal, 0, plan.g_x * float(x), plan.g_p * float(p))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from . import montecarlo
 from .channel import ChannelParams, Detector, TapConfig
@@ -18,14 +17,14 @@ from .channel import ChannelParams, Detector, TapConfig
 
 @dataclass(frozen=True)
 class HeraldWindow:
-    """Acceptance half-widths per quadrature; (0, 0) marks the analytic limit."""
+    """Acceptance half-widths per quadrature, each in [0, inf]; (0, 0) marks the analytic limit."""
 
     x_th: float
     p_th: float
 
     def __post_init__(self):
-        if self.x_th < 0.0 or self.p_th < 0.0:
-            raise ValueError("window half-widths must be non-negative")
+        if not (self.x_th >= 0.0 and self.p_th >= 0.0):
+            raise ValueError("window half-widths must be non-negative numbers")
 
 
 class HeraldNoYieldError(RuntimeError):
@@ -35,11 +34,6 @@ class HeraldNoYieldError(RuntimeError):
         super().__init__(message)
         self.success_prob = success_prob
         self.n_total = n_total
-
-
-def accept(outcome: tuple[float, float], window: HeraldWindow) -> bool:
-    """Keep the trajectory iff |x| <= x_th and |p| <= p_th."""
-    return abs(outcome[0]) <= window.x_th and abs(outcome[1]) <= window.p_th
 
 
 def zero_window_added_noise(ch: ChannelParams, tap: TapConfig) -> float:

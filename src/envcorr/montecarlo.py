@@ -55,7 +55,6 @@ class TrajectoryBatch:
     records: np.ndarray
     seed: int
     shard_size: int = SHARD_SIZE
-    accepted: Optional[np.ndarray] = None
 
     def __post_init__(self):
         rec = np.asarray(self.records, dtype=float)
@@ -65,12 +64,6 @@ class TrajectoryBatch:
             raise ValueError("records must be finite")
         rec.setflags(write=False)
         object.__setattr__(self, "records", rec)
-        if self.accepted is not None:
-            acc = np.asarray(self.accepted, dtype=bool)
-            if acc.shape != (rec.shape[0],):
-                raise ValueError("accepted flags must match the record count")
-            acc.setflags(write=False)
-            object.__setattr__(self, "accepted", acc)
 
     @property
     def n(self) -> int:
@@ -78,9 +71,6 @@ class TrajectoryBatch:
 
     def column(self, name: str) -> np.ndarray:
         return self.records[:, COLUMNS.index(name)]
-
-    def with_accepted(self, accepted: np.ndarray) -> "TrajectoryBatch":
-        return TrajectoryBatch(self.records, self.seed, self.shard_size, accepted)
 
     def shard_slices(self) -> Iterator[slice]:
         for start in range(0, self.n, self.shard_size):
@@ -194,24 +184,19 @@ def _merge_moments(a, b):
     return (n, mean, m2)
 
 
-def _column_moments(batch: TrajectoryBatch, name: str, accepted_only: bool):
+def _column_moments(batch: TrajectoryBatch, name: str):
     col = batch.column(name)
-    mask = batch.accepted if accepted_only else None
-    if accepted_only and mask is None:
-        raise ValueError("batch carries no accepted flags")
     total = (0, 0.0, 0.0)
     for sl in batch.shard_slices():
-        vals = col[sl] if mask is None else col[sl][mask[sl]]
-        if vals.size == 0:
-            continue
+        vals = col[sl]
         mean = float(np.mean(vals))
         m2 = float(np.sum((vals - mean) ** 2))
         total = _merge_moments(total, (vals.size, mean, m2))
     return total
 
 
-def _column_variance(batch, name, accepted_only):
-    count, mean, m2 = _column_moments(batch, name, accepted_only)
+def _column_variance(batch, name):
+    count, mean, m2 = _column_moments(batch, name)
     if count < 2:
         raise ValueError("need at least two samples for a variance")
     return count, mean, m2 / (count - 1)
@@ -221,7 +206,6 @@ def estimate_added_noise(
     batch: TrajectoryBatch,
     optical_gain: float,
     where: str = "signal",
-    accepted_only: bool = False,
 ):
     """Input-referred added noise (variance - gain)/gain per quadrature.
 
@@ -237,7 +221,7 @@ def estimate_added_noise(
     prefix = "sig" if where == "signal" else "recv"
     out = []
     for quad in ("x", "p"):
-        count, _, var = _column_variance(batch, f"{quad}_{prefix}", accepted_only)
+        count, _, var = _column_variance(batch, f"{quad}_{prefix}")
         value = (var - optical_gain) / optical_gain
         stderr = np.sqrt(2.0 / (count - 1)) * var / optical_gain
         out.append((value, stderr))
@@ -261,7 +245,7 @@ def estimate_gain(
         raise ValueError("input mean must be >= 5 shot-noise sigma per quadrature")
     ratios = []
     for quad in quadratures:
-        count, mean, var = _column_variance(batch, f"{quad}_sig", False)
+        count, mean, var = _column_variance(batch, f"{quad}_sig")
         ratios.append((mean / means[quad], np.sqrt(var / count) / abs(means[quad])))
     amp = sum(r[0] for r in ratios) / len(ratios)
     amp_err = np.sqrt(sum(r[1] ** 2 for r in ratios)) / len(ratios)

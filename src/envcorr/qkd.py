@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel as channel_mod
-from . import feedforward, herald
-from .channel import ChannelParams, TapConfig
+from .states import symplectic_form
 
 # sigma at which the sigma -> infinity limits are evaluated; rates converge
 # like O(1/sigma), so this is exact to ~1e-7 bits
@@ -109,11 +107,7 @@ def _entropy_bits(nu: float) -> float:
 
 
 def _von_neumann(cov: np.ndarray) -> float:
-    n = cov.shape[0] // 2
-    omega = np.zeros_like(cov)
-    for k in range(n):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
+    omega = symplectic_form(cov.shape[0] // 2)
     eigs = np.sort(np.abs(np.linalg.eigvals(1j * omega @ cov)))[::2]
     return float(sum(_entropy_bits(float(v)) for v in eigs))
 
@@ -219,17 +213,12 @@ def eve_information(
 
 
 def key_rate(
-    chan: EffectiveChannel,
-    sigma: float,
-    attack: Attack = Attack.COLLECTIVE,
-    direction: Direction = Direction.DIRECT,
+    chan: EffectiveChannel, sigma: float, attack: Attack = Attack.COLLECTIVE
 ) -> KeyRateReport:
     """Secret-key rates at sigma and in the sigma -> infinity limit.
 
-    Both reconciliation directions are reported; `direction` selects which
-    one downstream consumers treat as primary.
+    Both reconciliation directions are reported.
     """
-    del direction  # both are computed; kept for call-site readability
 
     def rate(s: float, d: Direction) -> float:
         return mutual_information(chan, s) - eve_information(chan, s, attack, d)
@@ -241,82 +230,4 @@ def key_rate(
         k_reverse_asymptotic=rate(ASYMPTOTIC_SIGMA, Direction.REVERSE),
         modulation_variance=sigma,
         attack=attack,
-    )
-
-
-@dataclass(frozen=True)
-class SecurityReport:
-    eta: float
-    v_env: float
-    gamma: float
-    excess_noise: float
-    entanglement_preserving: bool
-    collective_secure: bool
-    modulation_variance: float
-    attack: Attack
-    strategies: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "v_env": self.v_env,
-            "gamma": self.gamma,
-            "excess_noise": self.excess_noise,
-            "entanglement_preserving": self.entanglement_preserving,
-            "collective_secure": self.collective_secure,
-            "modulation_variance": self.modulation_variance,
-            "attack": self.attack.value,
-            "strategies": self.strategies,
-        }
-
-
-def security_report(
-    ch: ChannelParams,
-    tap: TapConfig,
-    sigma: float = 40.0,
-    attack: Attack = Attack.COLLECTIVE,
-) -> SecurityReport:
-    """Before/after summary: excess noise, verdicts, corrected channels, rates."""
-    eps = channel_mod.excess_noise(ch)
-    verdict = channel_mod.security_thresholds(eps)
-    strategies = {
-        "uncorrected": (ch.eta, channel_mod.added_noise_uncorrected(ch)),
-        "erasing_heterodyne": (1.0 / ch.eta, feedforward.added_noise_het_state(ch, tap)),
-        "optimal_heterodyne": (
-            feedforward.plan_optimal_heterodyne(ch, tap).optical_gain,
-            feedforward.optimal_added_noise(ch, tap),
-        ),
-        "zero_window_herald": (
-            herald.zero_window_gain(ch, tap),
-            herald.zero_window_added_noise(ch, tap),
-        ),
-    }
-    table = {}
-    for name, (gain, noise) in strategies.items():
-        entry = {"gain": gain, "added_noise": noise}
-        if math.isfinite(noise):
-            try:
-                report = key_rate(EffectiveChannel(gain, noise), sigma, attack)
-            except ValueError as exc:
-                # post-selected channels can beat the deterministic quantum
-                # floor; no Gaussian dilation exists, so no collective bound
-                entry["rates_unavailable"] = str(exc)
-            else:
-                entry.update(
-                    k_direct=report.k_direct,
-                    k_direct_asymptotic=report.k_direct_asymptotic,
-                    k_reverse=report.k_reverse,
-                    k_reverse_asymptotic=report.k_reverse_asymptotic,
-                )
-        table[name] = entry
-    return SecurityReport(
-        eta=ch.eta,
-        v_env=ch.v_env,
-        gamma=tap.gamma,
-        excess_noise=eps,
-        entanglement_preserving=verdict["entanglement_preserving"],
-        collective_secure=verdict["collective_secure"],
-        modulation_variance=sigma,
-        attack=attack,
-        strategies=table,
     )

@@ -8,13 +8,11 @@ return new states; nothing here mutates its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
-SYMPLECTIC_TOL = 1e-10
-PHYSICALITY_TOL = 1e-9
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -70,30 +68,6 @@ class GaussianState:
         return slice(2 * mode, 2 * mode + 2)
 
 
-@dataclass(frozen=True)
-class SymplecticMap:
-    """Linear phase-space map S with S Omega S^T = Omega."""
-
-    matrix: np.ndarray = field()
-
-    def __post_init__(self):
-        m = _frozen(np.atleast_2d(self.matrix))
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValueError("symplectic matrix must be square of even dimension")
-        omega = symplectic_form(m.shape[0] // 2)
-        if np.max(np.abs(m @ omega @ m.T - omega)) > SYMPLECTIC_TOL:
-            raise ValueError("matrix does not preserve the symplectic form")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    def compose(self, other: "SymplecticMap") -> "SymplecticMap":
-        """Map equivalent to applying `other` first, then this map."""
-        return SymplecticMap(self.matrix @ other.matrix)
-
-
 def vacuum(n_modes: int) -> GaussianState:
     """n-mode vacuum: zero mean, identity covariance."""
     if n_modes < 1:
@@ -123,7 +97,12 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
 
 
 def splitter_matrix(eta: float, mode_i: int, mode_j: int, n_modes: int) -> np.ndarray:
-    """Raw beam-splitter matrix; no range check on eta (internal use)."""
+    """Beam splitter of transmission eta coupling mode_i and mode_j.
+
+    Sends X_i -> sqrt(eta) X_i + sqrt(1-eta) X_j and
+    X_j -> sqrt(1-eta) X_i - sqrt(eta) X_j (same for P). No range check on
+    eta; callers pass validated channel parameters.
+    """
     t, r = np.sqrt(eta), np.sqrt(1.0 - eta)
     m = np.eye(2 * n_modes)
     for q in range(2):  # same coupling on x and p
@@ -131,30 +110,6 @@ def splitter_matrix(eta: float, mode_i: int, mode_j: int, n_modes: int) -> np.nd
         m[i, i], m[i, j] = t, r
         m[j, i], m[j, j] = r, -t
     return m
-
-
-def beam_splitter(eta: float, mode_i: int, mode_j: int, n_modes: int) -> SymplecticMap:
-    """Beam splitter of transmission eta coupling mode_i and mode_j.
-
-    Sends X_i -> sqrt(eta) X_i + sqrt(1-eta) X_j and
-    X_j -> sqrt(1-eta) X_i - sqrt(eta) X_j (same for P).
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("beam-splitter transmission must be in (0, 1]")
-    if mode_i == mode_j:
-        raise ValueError("beam splitter needs two distinct modes")
-    if not (0 <= mode_i < n_modes and 0 <= mode_j < n_modes):
-        raise ValueError("beam-splitter modes out of range")
-    return SymplecticMap(splitter_matrix(eta, mode_i, mode_j, n_modes))
-
-
-def apply(smap: SymplecticMap, state: GaussianState) -> GaussianState:
-    """Evolve: mean -> S mean, cov -> S cov S^T."""
-    if smap.n_modes != state.n_modes:
-        raise ValueError("map and state mode counts differ")
-    s = smap.matrix
-    cov = s @ state.cov @ s.T
-    return GaussianState(s @ state.mean, 0.5 * (cov + cov.T))
 
 
 def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianState:

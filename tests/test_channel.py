@@ -7,13 +7,16 @@ from envcorr.channel import (
     Detector,
     TapConfig,
     added_noise_uncorrected,
-    build_plant,
     excess_noise,
     security_thresholds,
     signal_tap_state,
 )
+from envcorr.herald import tap_outcome_std
 
 from conftest import ETA_GRID, V_GRID
+
+# fraction of the tapped mode each detector routes to its X read-out port
+X_WEIGHT = {Detector.HOMODYNE_X: 1.0, Detector.HOMODYNE_P: 0.0, Detector.HETERODYNE: 0.5}
 
 
 def tap_readout_variances(eta, gamma, v, x_weight, v_in=1.0):
@@ -35,6 +38,11 @@ class TestParams:
             ChannelParams(0.5, 0.5)
         ChannelParams(1.0, 1.0)
 
+    @pytest.mark.parametrize("v", (float("nan"), float("inf")))
+    def test_non_finite_environment_rejected(self, v):
+        with pytest.raises(ValueError):
+            ChannelParams(0.9, v)
+
     def test_tap_ranges(self):
         with pytest.raises(ValueError):
             TapConfig(-0.1)
@@ -42,46 +50,46 @@ class TestParams:
             TapConfig(1.1)
         assert TapConfig(0.0).detector is Detector.HETERODYNE
 
-    def test_detector_split(self):
-        assert Detector.HETERODYNE.split == 0.5
-        assert Detector.HOMODYNE_X.split == 1.0
-        assert Detector.HOMODYNE_P.split == 1.0
-        assert Detector.HOMODYNE_X.x_weight == 1.0
-        assert Detector.HOMODYNE_P.x_weight == 0.0
-
 
 class TestBuildPlant:
+    """The plant: the (signal, tapped mode) state and the tap read-out it feeds."""
+
     @pytest.mark.parametrize("eta", ETA_GRID)
     @pytest.mark.parametrize("gamma", (0.0, 0.2, 0.5, 0.8, 1.0))
     @pytest.mark.parametrize("detector", list(Detector))
     @pytest.mark.parametrize("v", V_GRID)
     def test_tap_marginal_matches_wiring(self, eta, gamma, detector, v):
         ch, tap = ChannelParams(eta, v), TapConfig(gamma, detector)
-        plant = build_plant(ch, tap, states.coherent(0.0, 0.0))
-        var_x, var_p = tap_readout_variances(eta, gamma, v, detector.x_weight)
-        assert plant.cov[2, 2] == pytest.approx(var_x, abs=1e-10)
-        assert plant.cov[3, 3] == pytest.approx(var_p, abs=1e-10)
+        pair = signal_tap_state(ch, tap, states.coherent(0.0, 0.0))
+        w = X_WEIGHT[detector]
+        var_x, var_p = tap_readout_variances(eta, gamma, v, w)
+        # the detector routes weight w of the tapped X (1 - w of P) to its port
+        assert w * pair.cov[2, 2] + (1 - w) == pytest.approx(var_x, abs=1e-10)
+        assert (1 - w) * pair.cov[3, 3] + w == pytest.approx(var_p, abs=1e-10)
+        sx, sp = tap_outcome_std(ch, tap)
+        assert sx**2 == pytest.approx(var_x, abs=1e-10)
+        assert sp**2 == pytest.approx(var_p, abs=1e-10)
 
     def test_lossless_channel_keeps_input(self):
         ch = ChannelParams(1.0, 25.0)
-        plant = build_plant(ch, TapConfig(0.7), states.coherent(2.0, -3.0))
-        sig = states.partial_trace(plant, [0])
+        pair = signal_tap_state(ch, TapConfig(0.7), states.coherent(2.0, -3.0))
+        sig = states.partial_trace(pair, [0])
         assert np.allclose(sig.mean, [2.0, -3.0], atol=1e-12)
         assert np.allclose(sig.cov, np.eye(2), atol=1e-12)
 
     def test_zero_gamma_tap_is_uncorrelated_vacuum_mix(self):
         ch = ChannelParams(0.7, 9.0)
-        plant = build_plant(ch, TapConfig(0.0), states.coherent(1.0, 1.0))
-        assert np.allclose(plant.cov[:2, 2:4], 0.0, atol=1e-12)
-        assert plant.cov[2, 2] == pytest.approx(1.0, abs=1e-12)
-        assert plant.cov[3, 3] == pytest.approx(1.0, abs=1e-12)
+        pair = signal_tap_state(ch, TapConfig(0.0), states.coherent(1.0, 1.0))
+        assert np.allclose(pair.cov[:2, 2:4], 0.0, atol=1e-12)
+        assert pair.cov[2, 2] == pytest.approx(1.0, abs=1e-12)
+        assert pair.cov[3, 3] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("eta", ETA_GRID)
     @pytest.mark.parametrize("v", V_GRID)
     def test_signal_marginal_input_referred_noise(self, eta, v):
         ch = ChannelParams(eta, v)
-        plant = build_plant(ch, TapConfig(0.5), states.coherent(0.0, 0.0))
-        implied = (plant.cov[0, 0] - eta * 1.0) / eta
+        pair = signal_tap_state(ch, TapConfig(0.5), states.coherent(0.0, 0.0))
+        implied = (pair.cov[0, 0] - eta * 1.0) / eta
         assert implied == pytest.approx(added_noise_uncorrected(ch), abs=1e-10)
 
     def test_signal_tap_cross_covariance(self):
@@ -95,18 +103,14 @@ class TestBuildPlant:
 
     def test_heterodyne_wiring_halves_and_adds_unit(self):
         # measured variance is (tapped + 1)/2 for the dual-quadrature detector
-        eta, gamma, v = 0.9, 0.92, 25.0
-        plant = build_plant(
-            ChannelParams(eta, v), TapConfig(gamma), states.coherent(0, 0)
-        )
-        pair = signal_tap_state(
-            ChannelParams(eta, v), TapConfig(gamma), states.coherent(0, 0)
-        )
-        assert plant.cov[2, 2] == pytest.approx((pair.cov[2, 2] + 1) / 2, abs=1e-12)
+        ch, tap = ChannelParams(0.9, 25.0), TapConfig(0.92)
+        pair = signal_tap_state(ch, tap, states.coherent(0, 0))
+        sx, _ = tap_outcome_std(ch, tap)
+        assert sx**2 == pytest.approx((pair.cov[2, 2] + 1) / 2, abs=1e-12)
 
     def test_multimode_input_rejected(self):
         with pytest.raises(ValueError):
-            build_plant(ChannelParams(0.9, 2.0), TapConfig(0.5), states.vacuum(2))
+            signal_tap_state(ChannelParams(0.9, 2.0), TapConfig(0.5), states.vacuum(2))
 
 
 class TestNoiseFigures:

@@ -1,9 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from envcorr import cli
+from envcorr import cli, herald, montecarlo
+from envcorr.channel import ChannelParams, TapConfig
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -80,6 +82,63 @@ class TestRun:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
         assert "mc.n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["channel", "tap", "window", "mc", "qkd", "output"])
+    @pytest.mark.parametrize(
+        "value", [5, [1], "x", None], ids=["number", "list", "string", "null"]
+    )
+    def test_non_object_section_named(self, tmp_path, capsys, section, value):
+        overrides = {section: value}
+        if section == "window":
+            overrides["strategy"] = "herald"
+        cfg = write_config(tmp_path, **overrides)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"{section}: expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("channel.v_env", {"channel": {"eta": 0.9, "v_env": math.nan}}),
+            ("channel.v_env", {"channel": {"eta": 0.9, "v_env": math.inf}}),
+            ("channel.eta", {"channel": {"eta": math.nan, "v_env": 25.0}}),
+            ("tap.gamma", {"tap": {"gamma": math.nan}}),
+            ("qkd.sigma", {"qkd": {"sigma": math.nan}}),
+            ("qkd.sigma", {"qkd": {"sigma": math.inf}}),
+            (
+                "window.x_th",
+                {"strategy": "herald", "window": {"x_th": math.nan, "p_th": 1.0},
+                 "mc": {"n": 10_000}},
+            ),
+            ("mc.n", {"mc": {"n": math.inf}}),
+            ("mc.n", {"mc": {"n": 12345.7}}),
+            ("mc.seed", {"mc": {"n": 0, "seed": math.nan}}),
+        ],
+        ids=[
+            "v_env-nan", "v_env-inf", "eta-nan", "gamma-nan", "sigma-nan",
+            "sigma-inf", "x_th-nan", "n-inf", "n-fraction", "seed-nan",
+        ],
+    )
+    def test_non_finite_or_fractional_number_named(self, tmp_path, capsys, field, overrides):
+        # json writes NaN and Infinity literals, which json.loads accepts
+        cfg = write_config(tmp_path, **overrides)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_open_window_may_be_infinite(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            strategy="herald",
+            window={"x_th": math.inf, "p_th": "inf"},
+            mc={"n": 10_000, "seed": 3},
+        )
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = {r["quantity"]: r for r in read_rows(tmp_path / "out.csv")}
+        assert rows["success_prob"]["mc_estimate"] == "1"
+
+    def test_direction_field_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, qkd={"sigma": 40.0, "direction": "reverse"})
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "qkd.direction" in capsys.readouterr().err
+
     def test_invalid_json_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -132,6 +191,40 @@ class TestRun:
         cfg = write_config(tmp_path)
         assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 4
         assert "numeric error" in capsys.readouterr().err
+
+
+class TestStrategyTable:
+    def test_rows_are_formula_quantities(self):
+        formulas = cli.formula_values(ChannelParams(0.9, 25.0), TapConfig(0.5))
+        for gain, noise, rows in cli.STRATEGIES.values():
+            assert {gain, noise} <= set(rows) <= set(formulas)
+
+    @pytest.mark.parametrize(
+        "strategy, samples",
+        [("none", 1), ("erasing-hom", 2), ("erasing-het", 2), ("optimal", 2), ("herald", 1)],
+    )
+    def test_run_draws_only_the_printed_batches(
+        self, tmp_path, monkeypatch, strategy, samples
+    ):
+        calls = {"sample": 0, "heralded": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "sample", counted("sample", montecarlo.sample))
+        monkeypatch.setattr(
+            herald, "heralded_statistics", counted("heralded", herald.heralded_statistics)
+        )
+        extra = {"window": {"x_th": 2.0, "p_th": 2.0}} if strategy == "herald" else {}
+        cfg = write_config(tmp_path, strategy=strategy, mc={"n": 10_000, "seed": 1}, **extra)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        assert calls == {"sample": samples, "heralded": int(strategy == "herald")}
+        rows = read_rows(tmp_path / "out.csv")
+        assert all(r["mc_estimate"] != "" for r in rows)
 
 
 class TestReproduce:
@@ -214,6 +307,11 @@ class TestReproduce:
             )
         assert (out_a / "fig5.csv").read_bytes() == (out_b / "fig5.csv").read_bytes()
         assert (out_a / "fig5.json").read_bytes() == (out_b / "fig5.json").read_bytes()
+
+    def test_fig5_small_n_rejected(self, tmp_path, capsys):
+        assert cli.main(["reproduce", "fig5", "--out", str(tmp_path), "--n", "100"]) == 2
+        assert "--n" in capsys.readouterr().err
+        assert not (tmp_path / "fig5.json").exists()
 
     def test_unknown_target(self, tmp_path, capsys):
         assert cli.main(["reproduce", "fig9", "--out", str(tmp_path)]) == 2

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from envcorr import montecarlo, states
+from envcorr import montecarlo
 from envcorr.channel import ChannelParams, Detector, TapConfig
 from envcorr.feedforward import (
     FeedforwardPlan,
     Strategy,
     added_noise_het_state,
     added_noise_hom_ff,
-    apply_feedforward,
     improvement_conditions,
     optimal_added_noise,
     plan_erasing_heterodyne,
@@ -183,26 +182,7 @@ class TestImprovementConditions:
 
 
 class TestApplyFeedforward:
-    def test_zero_outcome_is_identity(self):
-        plan = plan_erasing_heterodyne(ChannelParams(0.5, 5.0), het(1.0))
-        st = states.coherent(1.0, -1.0)
-        out = apply_feedforward(st, (0.0, 0.0), plan)
-        assert np.array_equal(out.mean, st.mean)
-        assert np.array_equal(out.cov, st.cov)
-
-    def test_linearity_in_outcome(self):
-        plan = plan_erasing_heterodyne(ChannelParams(0.5, 5.0), het(1.0))
-        st = states.coherent(0.0, 0.0)
-        one = apply_feedforward(st, (1.0, -2.0), plan).mean
-        two = apply_feedforward(st, (2.0, -4.0), plan).mean
-        assert np.allclose(two, 2.0 * one, atol=1e-12)
-
-    def test_outcome_arity_checked(self):
-        ch = ChannelParams(0.5, 5.0)
-        with pytest.raises(ValueError):
-            apply_feedforward(states.vacuum(1), 1.0, plan_erasing_heterodyne(ch, het(1.0)))
-        with pytest.raises(ValueError):
-            apply_feedforward(states.vacuum(1), (1.0, 2.0), plan_erasing_homodyne(ch, hom(1.0)))
+    """Feedforward applied trajectory by trajectory in the sampler."""
 
     def test_condition_then_displace_reproduces_receiver_statistics(self):
         # Gaussian pipeline: per-trajectory tap outcomes conditioned into the

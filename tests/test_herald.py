@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from envcorr import states
+from envcorr import montecarlo, states
 from envcorr.channel import ChannelParams, Detector, TapConfig, signal_tap_state
 from envcorr.feedforward import receiver_added_noise
 from envcorr.herald import (
     HeraldNoYieldError,
     HeraldWindow,
-    accept,
     heralded_statistics,
     scaled_window,
     tap_outcome_std,
@@ -30,15 +29,24 @@ def sharp_conditioned_signal(ch, tap, input_mean):
 
 class TestWindow:
     def test_accept_logic(self):
-        w = HeraldWindow(1.0, math.inf)
-        assert accept((0.0, 0.0), w)
-        assert accept((1.0, 100.0), w)
-        assert not accept((1.5, 0.0), w)
-        assert not accept((0.0, 0.5), HeraldWindow(1.0, 0.4))
+        # a trajectory is kept iff |x_tap| <= x_th and |p_tap| <= p_th
+        ch, tap = ChannelParams(0.9, 25.0), TapConfig(0.7)
+        batch = montecarlo.sample(ch, tap, (0.0, 0.0), None, 20_000, 5)
+        x, p = np.abs(batch.column("x_tap")), np.abs(batch.column("p_tap"))
+        for window in ((1.0, math.inf), (1.0, 0.4), (x[0], p[0])):
+            out = montecarlo.windowed_moments(ch, tap, (0.0, 0.0), window, 20_000, 5)
+            assert out["n_accepted"] == np.sum((x <= window[0]) & (p <= window[1]))
+        # boundaries are inside the window: trajectory 0 sits on both
+        assert out["n_accepted"] > np.sum((x < x[0]) & (p < p[0]))
 
     def test_negative_half_width_rejected(self):
         with pytest.raises(ValueError):
             HeraldWindow(-0.1, 1.0)
+
+    def test_nan_half_width_rejected(self):
+        with pytest.raises(ValueError):
+            HeraldWindow(1.0, math.nan)
+        HeraldWindow(math.inf, math.inf)
 
     def test_scaled_window_uses_readout_std(self):
         ch, tap = ChannelParams(0.9, 25.0), TapConfig(0.7)

@@ -1,11 +1,13 @@
+import csv
 import json
 import math
 
-import numpy as np
 import pytest
 
-from envcorr.channel import ChannelParams, TapConfig
+from envcorr import cli
+from envcorr.channel import ChannelParams, TapConfig, excess_noise, security_thresholds
 from envcorr.feedforward import optimal_added_noise, plan_optimal_heterodyne
+from envcorr.herald import zero_window_added_noise, zero_window_gain
 from envcorr.qkd import (
     Attack,
     Detection,
@@ -14,7 +16,6 @@ from envcorr.qkd import (
     eve_information,
     key_rate,
     mutual_information,
-    security_report,
 )
 
 TABLE_GAMMAS = (0.92, 0.82, 0.68, 0.48, 0.2)
@@ -147,18 +148,24 @@ class TestKeyRate:
 
 
 class TestSecurityReport:
+    """Security verdicts and key rates of the corrected channels."""
+
     def test_breaking_channel_flagged(self):
-        report = security_report(ChannelParams(0.9, 25.0), TapConfig(0.92))
-        assert report.excess_noise == pytest.approx(24.0 / 9.0, abs=1e-12)
-        assert not report.entanglement_preserving
-        assert not report.collective_secure
-        assert report.strategies["optimal_heterodyne"]["k_direct"] > 0.0
+        eps = excess_noise(ChannelParams(0.9, 25.0))
+        assert eps == pytest.approx(24.0 / 9.0, abs=1e-12)
+        verdict = security_thresholds(eps)
+        assert not verdict["entanglement_preserving"]
+        assert not verdict["collective_secure"]
+        # optimal feedforward makes the breaking channel usable again
+        assert key_rate(theory_channel(0.92), 40.0).k_direct > 0.0
 
     def test_vacuum_environment_preserving(self):
-        report = security_report(ChannelParams(0.9, 1.0), TapConfig(0.5))
-        assert report.excess_noise == 0.0
-        assert report.entanglement_preserving
-        assert report.collective_secure
+        eps = excess_noise(ChannelParams(0.9, 1.0))
+        assert eps == 0.0
+        assert security_thresholds(eps) == {
+            "entanglement_preserving": True,
+            "collective_secure": True,
+        }
 
     def test_gain_column_matches_reference_within_tolerance(self):
         published = {0.92: 1.1, 0.82: 1.08, 0.68: 1.08, 0.48: 1.06, 0.2: 1.04}
@@ -166,29 +173,36 @@ class TestSecurityReport:
             gain = theory_channel(gamma).gain
             assert abs(gain - value) < 0.05
 
-    def test_serializable(self):
-        report = security_report(ChannelParams(0.9, 25.0), TapConfig(0.92))
-        payload = json.loads(json.dumps(report.as_dict()))
-        assert payload["attack"] == "collective"
-        assert set(payload["strategies"]) == {
-            "uncorrected",
-            "erasing_heterodyne",
-            "optimal_heterodyne",
-            "zero_window_herald",
-        }
-
     def test_post_selected_channel_below_quantum_floor_is_flagged(self):
         # the heralded channel can beat the deterministic amplifier floor,
         # where no Gaussian dilation (hence no collective bound) exists
-        report = security_report(ChannelParams(0.9, 25.0), TapConfig(0.92))
-        herald_entry = report.strategies["zero_window_herald"]
-        assert "rates_unavailable" in herald_entry
-        assert herald_entry["added_noise"] < (herald_entry["gain"] - 1) / herald_entry["gain"]
+        ch, tap = ChannelParams(0.9, 25.0), TapConfig(0.92)
+        gain, noise = zero_window_gain(ch, tap), zero_window_added_noise(ch, tap)
+        assert noise < (gain - 1) / gain
+        with pytest.raises(ValueError):
+            key_rate(EffectiveChannel(gain, noise), 40.0)
 
-    def test_infinite_noise_strategy_skips_rates(self):
-        report = security_report(ChannelParams(0.9, 25.0), TapConfig(0.0))
-        assert "k_direct" not in report.strategies["erasing_heterodyne"]
-        assert np.isinf(report.strategies["erasing_heterodyne"]["added_noise"])
+    def test_infinite_noise_strategy_skips_rates(self, tmp_path):
+        # erasing at gamma = 0 has infinite added noise: `run` reports no key
+        # rates and draws no Monte Carlo batch for the erasing quantities
+        config = {
+            "channel": {"eta": 0.9, "v_env": 25.0},
+            "tap": {"gamma": 0.0},
+            "strategy": "erasing-het",
+            "mc": {"n": 10_000, "seed": 3},
+            "qkd": {"sigma": 40.0},
+            "output": {"path": "out"},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
+        rows = {row["quantity"]: row for row in csv.DictReader(lines[1:])}
+        assert not [name for name in rows if name.startswith("k_")]
+        assert rows["added_noise_het_state"]["formula"] == "inf"
+        for name in ("added_noise_het_state", "receiver_added_noise_ff", "gain_erasing"):
+            assert rows[name]["mc_estimate"] == rows[name]["mc_stderr"] == ""
+        assert rows["added_noise_uncorrected"]["mc_estimate"] != ""
 
 
 class TestEffectiveChannel:
