@@ -96,6 +96,11 @@ def _whole(value, where: str) -> int:
     return int(number)
 
 
+def _check_mc_n(n: int, where: str) -> None:
+    if n < 0 or 0 < n < 10_000:
+        raise ConfigError(f"{where}: statistical runs need n >= 10000 (or 0 to disable)")
+
+
 def _check_keys(raw: dict, allowed: set[str], where: str) -> None:
     unknown = set(raw) - allowed
     if unknown:
@@ -154,8 +159,7 @@ def parse_config(raw: dict) -> dict:
     _check_keys(mc_raw, {"n", "seed"}, "mc")
     n = _whole(mc_raw.get("n", 0), "mc.n")
     seed = _whole(mc_raw.get("seed", DEFAULT_SEED), "mc.seed")
-    if n < 0 or (0 < n < 10_000):
-        raise ConfigError("mc.n: statistical runs need n >= 10000 (or 0 to disable)")
+    _check_mc_n(n, "mc.n")
     if not 0 <= seed < 2**64:
         raise ConfigError("mc.seed: must fit in an unsigned 64-bit integer")
     if strategy == "herald" and n == 0:
@@ -264,18 +268,21 @@ def mc_counterparts(
     erasing = gamma >= feedforward.MIN_ERASING_GAMMA
     out = {}
 
-    def draw(tap, plan, offset):
-        return montecarlo.sample(ch, tap, GAIN_PROBE_MEAN, plan, n, seed + offset)
+    def draw(tap, plan, offset, replicates=False):
+        return montecarlo.windowed_moments(
+            ch, tap, GAIN_PROBE_MEAN, None, n, seed + offset,
+            plan=plan, replicates=replicates,
+        )
 
-    def noise(batch, gain, where="signal"):
-        return _avg(montecarlo.estimate_added_noise(batch, gain, where))
+    def noise(moments, gain, where="signal"):
+        return _avg(montecarlo.estimate_added_noise(moments, gain, where))
 
     zero_window = {"zero_window_added_noise", "zero_window_gain"}
     if want & {
         "added_noise_uncorrected", "excess_noise",
         "receiver_added_noise_no_ff", "channel_gain_uncorrected", *zero_window,
     }:
-        base = draw(het, None, 0)
+        base = draw(het, None, 0, replicates=bool(want & zero_window))
         value, err = noise(base, ch.eta)
         out["added_noise_uncorrected"] = (value, err)
         out["excess_noise"] = (value - (1.0 - ch.eta) / ch.eta, err)
@@ -288,23 +295,23 @@ def mc_counterparts(
 
     if erasing and want & {"added_noise_hom_ff", "gain_hom_ff"}:
         plan = feedforward.plan_erasing_homodyne(ch, hom)
-        batch = draw(hom, plan, 1)
-        noise_x, _ = montecarlo.estimate_added_noise(batch, plan.optical_gain, "signal")
+        moments = draw(hom, plan, 1)
+        noise_x, _ = montecarlo.estimate_added_noise(moments, plan.optical_gain, "signal")
         out["added_noise_hom_ff"] = noise_x  # corrected quadrature only
-        out["gain_hom_ff"] = montecarlo.estimate_gain(batch, GAIN_PROBE_MEAN, ("x",))
+        out["gain_hom_ff"] = montecarlo.estimate_gain(moments, GAIN_PROBE_MEAN, ("x",))
 
     if erasing and want & {"added_noise_het_state", "receiver_added_noise_ff", "gain_erasing"}:
         plan = feedforward.plan_erasing_heterodyne(ch, het)
-        batch = draw(het, plan, 2)
-        out["added_noise_het_state"] = noise(batch, plan.optical_gain)
-        out["receiver_added_noise_ff"] = noise(batch, plan.optical_gain, "receiver")
-        out["gain_erasing"] = montecarlo.estimate_gain(batch, GAIN_PROBE_MEAN)
+        moments = draw(het, plan, 2)
+        out["added_noise_het_state"] = noise(moments, plan.optical_gain)
+        out["receiver_added_noise_ff"] = noise(moments, plan.optical_gain, "receiver")
+        out["gain_erasing"] = montecarlo.estimate_gain(moments, GAIN_PROBE_MEAN)
 
     if want & {"optimal_added_noise", "optimal_gain"}:
         plan = feedforward.plan_optimal_heterodyne(ch, het)
-        batch = draw(het, plan, 3)
-        out["optimal_added_noise"] = noise(batch, plan.optical_gain)
-        out["optimal_gain"] = montecarlo.estimate_gain(batch, GAIN_PROBE_MEAN)
+        moments = draw(het, plan, 3)
+        out["optimal_added_noise"] = noise(moments, plan.optical_gain)
+        out["optimal_gain"] = montecarlo.estimate_gain(moments, GAIN_PROBE_MEAN)
     return out
 
 
@@ -459,6 +466,7 @@ def cmd_sweep(args) -> int:
 
 
 def _preset_fig3(n: int, seed: int):
+    _check_mc_n(n, "--n")
     rows = []
     header = [
         "eta", "v_env",
@@ -478,11 +486,11 @@ def _preset_fig3(n: int, seed: int):
                     plan = (
                         feedforward.plan_erasing_heterodyne(ch, tap) if gamma else None
                     )
-                    batch = montecarlo.sample(
-                        ch, tap, GAIN_PROBE_MEAN, plan, n, seed + offset
+                    moments = montecarlo.windowed_moments(
+                        ch, tap, GAIN_PROBE_MEAN, None, n, seed + offset, plan=plan
                     )
                     gain = plan.optical_gain if plan else ch.eta
-                    est = _avg(montecarlo.estimate_added_noise(batch, gain, "receiver"))
+                    est = _avg(montecarlo.estimate_added_noise(moments, gain, "receiver"))
                     row += [formula, est[0], est[1]]
                     offset += 1
                 else:
@@ -502,6 +510,7 @@ def _preset_fig3(n: int, seed: int):
 
 
 def _preset_fig4(n: int, seed: int):
+    _check_mc_n(n, "--n")
     ch = ChannelParams(0.9, 25.0)
     reference = channel_mod.added_noise_uncorrected(ch)
     header = [
@@ -522,12 +531,20 @@ def _preset_fig4(n: int, seed: int):
             "channel_gain": opt_plan.optical_gain,
         }
         if n > 0:
-            batch = montecarlo.sample(ch, tap, GAIN_PROBE_MEAN, opt_plan, n, seed + 2 * i)
-            opt = _avg(montecarlo.estimate_added_noise(batch, opt_plan.optical_gain, "signal"))
-            gain = montecarlo.estimate_gain(batch, GAIN_PROBE_MEAN)
+            opt_moments = montecarlo.windowed_moments(
+                ch, tap, GAIN_PROBE_MEAN, None, n, seed + 2 * i, plan=opt_plan
+            )
+            opt = _avg(
+                montecarlo.estimate_added_noise(opt_moments, opt_plan.optical_gain, "signal")
+            )
+            gain = montecarlo.estimate_gain(opt_moments, GAIN_PROBE_MEAN)
             er_plan = feedforward.plan_erasing_heterodyne(ch, tap)
-            er_batch = montecarlo.sample(ch, tap, GAIN_PROBE_MEAN, er_plan, n, seed + 2 * i + 1)
-            er = _avg(montecarlo.estimate_added_noise(er_batch, er_plan.optical_gain, "signal"))
+            er_moments = montecarlo.windowed_moments(
+                ch, tap, GAIN_PROBE_MEAN, None, n, seed + 2 * i + 1, plan=er_plan
+            )
+            er = _avg(
+                montecarlo.estimate_added_noise(er_moments, er_plan.optical_gain, "signal")
+            )
             mc = {"v_add_optimal": opt, "v_add_erasing": er, "channel_gain": gain}
         else:
             mc = {}
@@ -587,6 +604,31 @@ def _preset_fig5(n: int, seed: int):
 TABLE1_GAMMAS = (0.92, 0.82, 0.68, 0.48, 0.2)
 
 
+def _read_measured(path: str) -> dict:
+    """gamma -> (v_x, v_p, gain) from a CSV whose first line is a header."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise ConfigError(f"--measured: cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"--measured: {path} is not UTF-8 text") from None
+    measured = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            values = [float(p) for p in line.split(",")[:4]]
+        except ValueError:
+            values = []
+        if len(values) < 4 or not all(map(math.isfinite, values)):
+            raise ConfigError(
+                f"--measured: line {lineno}: expected finite numbers gamma,v_x,v_p,gain,"
+                f" got {line.strip()!r}"
+            )
+        measured[values[0]] = tuple(values[1:])
+    return measured
+
+
 def _preset_table1(n: int, seed: int, measured_path: str = ""):
     del n, seed  # analytic preset
     ch = ChannelParams(0.9, 25.0)
@@ -594,10 +636,7 @@ def _preset_table1(n: int, seed: int, measured_path: str = ""):
     header = ["gamma", "v_add_theory", "gain_theory", *KEY_RATES]
     measured = {}
     if measured_path:
-        for line in Path(measured_path).read_text(encoding="utf-8").splitlines()[1:]:
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) >= 4 and parts[0]:
-                measured[float(parts[0])] = tuple(float(p) for p in parts[1:4])
+        measured = _read_measured(measured_path)
         header += [
             "v_add_x_measured", "v_add_p_measured", "gain_measured",
             "k_x_measured", "k_x_measured_asymptotic",
@@ -610,7 +649,7 @@ def _preset_table1(n: int, seed: int, measured_path: str = ""):
         gain = feedforward.plan_optimal_heterodyne(ch, tap).optical_gain
         report = qkd.key_rate(EffectiveChannel(gain, noise), sigma, Attack.COLLECTIVE)
         row = [gamma, noise, gain, *(getattr(report, name) for name in KEY_RATES)]
-        if measured:
+        if measured_path:
             if gamma in measured:
                 vx, vp, g_meas = measured[gamma]
                 kx = qkd.key_rate(EffectiveChannel(g_meas, vx), sigma, Attack.COLLECTIVE)
@@ -642,6 +681,8 @@ def cmd_reproduce(args) -> int:
     }
     if args.target not in presets:
         raise ConfigError(f"target: must be one of {sorted(presets)}")
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError("--seed: must fit in an unsigned 64-bit integer")
     header, rows, summary = presets[args.target](args.n, args.seed)
     outdir = _outdir(args)
     write_csv(outdir / f"{args.target}.csv", args.target, header, rows)

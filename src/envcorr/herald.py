@@ -109,7 +109,7 @@ def heralded_statistics(
     moments = montecarlo.windowed_moments(
         ch, tap, input_mean, (window.x_th, window.p_th), n, seed, workers=workers
     )
-    m = moments["n_accepted"]
+    m = moments.n_accepted
     success = m / n
     if m < 2:
         raise HeraldNoYieldError(
@@ -117,17 +117,17 @@ def heralded_statistics(
         )
 
     amps = []
-    for name, mean_in in zip(("x_recv", "p_recv"), input_mean):
-        col = moments[name]
-        amps.append((col["mean"] / mean_in, math.sqrt(col["var"] / m) / abs(mean_in)))
+    variances = {}
+    for quad, mean_in in zip(("x", "p"), input_mean):
+        _, mean, variances[quad] = moments.column(f"{quad}_recv")
+        amps.append((mean / mean_in, math.sqrt(variances[quad] / m) / abs(mean_in)))
     amp = 0.5 * (amps[0][0] + amps[1][0])
     amp_err = 0.5 * math.hypot(amps[0][1], amps[1][1])
     gain = amp * amp
     gain_err = 2.0 * abs(amp) * amp_err
 
     noise = {}
-    for quad, name in (("x", "x_recv"), ("p", "p_recv")):
-        var = moments[name]["var"]
+    for quad, var in variances.items():
         value = (var - gain) / gain
         stderr = math.hypot(
             math.sqrt(2.0 / (m - 1)) * var / gain, var / gain**2 * gain_err

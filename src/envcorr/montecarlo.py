@@ -19,13 +19,18 @@ Record columns, in order:
 Sampling is sharded: shard i draws from an independent substream keyed by
 (seed, i) with a fixed shard size, and reductions merge shards in index
 order, so results do not depend on the worker count.
+
+The estimators need only first and second moments, so `windowed_moments`
+reduces each shard to moments inside a reused workspace and never keeps
+the records; `sample` keeps the raw records for tests that inspect them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,6 +52,13 @@ COLUMNS = (
     "p_sig",
 )
 
+# the columns `windowed_moments` reduces; the zero-window regression also
+# needs the co-moment of each quadrature's signal with its tapped mode
+MOMENT_COLUMNS = ("x_sig", "p_sig", "x_recv", "p_recv", "x_tap_mode", "p_tap_mode")
+_MOMENT_INDEX = tuple(COLUMNS.index(name) for name in MOMENT_COLUMNS)
+_SIG, _TAP_MODE = [0, 1], [4, 5]
+_X_TAP, _P_TAP = COLUMNS.index("x_tap"), COLUMNS.index("p_tap")
+
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
@@ -54,7 +66,6 @@ class TrajectoryBatch:
 
     records: np.ndarray
     seed: int
-    shard_size: int = SHARD_SIZE
 
     def __post_init__(self):
         rec = np.asarray(self.records, dtype=float)
@@ -65,16 +76,8 @@ class TrajectoryBatch:
         rec.setflags(write=False)
         object.__setattr__(self, "records", rec)
 
-    @property
-    def n(self) -> int:
-        return self.records.shape[0]
-
     def column(self, name: str) -> np.ndarray:
         return self.records[:, COLUMNS.index(name)]
-
-    def shard_slices(self) -> Iterator[slice]:
-        for start in range(0, self.n, self.shard_size):
-            yield slice(start, min(start + self.shard_size, self.n))
 
 
 def _check_seed(seed: int) -> int:
@@ -84,7 +87,29 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+# -- shard kernel -------------------------------------------------------------
+
+
+class _Workspace:
+    """Scratch for one shard at a time, reused across the shards of a call."""
+
+    def __init__(self):
+        self.draws = np.empty(10 * SHARD_SIZE)  # flat, so any shard's draws are contiguous
+        self.out = np.empty((3, SHARD_SIZE))  # x_out, p_out, one temporary
+        self.dev = np.empty((len(MOMENT_COLUMNS), SHARD_SIZE))
+        self.square = np.empty(SHARD_SIZE)
+        self.keep = np.empty((2, SHARD_SIZE), dtype=bool)
+
+
+def _mix(a, x, b, y, out, tmp):
+    """out = a x + b y without temporaries; out may be x or y."""
+    np.multiply(a, x, out=tmp)
+    np.multiply(b, y, out=out)
+    return np.add(tmp, out, out=out)
+
+
 def _draw_shard(
+    ws: _Workspace,
     ch: ChannelParams,
     tap: TapConfig,
     input_mean: tuple[float, float],
@@ -92,49 +117,77 @@ def _draw_shard(
     size: int,
     seed: int,
     shard_index: int,
-) -> np.ndarray:
-    rng = np.random.default_rng([seed, shard_index])
-    draws = rng.standard_normal((10, size))
-    x_in = input_mean[0] + draws[0]
-    p_in = input_mean[1] + draws[1]
+) -> tuple[np.ndarray, ...]:
+    """Draw one shard into ws; return the COLUMNS as views into ws.
+
+    Each column is the same floating-point expression of the same draws
+    whichever buffer holds it, so the records do not depend on the layout.
+    """
+    draws = ws.draws[: 10 * size].reshape(10, size)
+    np.random.default_rng([seed, shard_index]).standard_normal(out=draws)
+    x_in, p_in, x_env, p_env, x_v1, p_v1, x_v2, p_v2, x_vr, p_vr = draws
+    x_out, p_out, tmp = (row[:size] for row in ws.out)
+    np.add(x_in, input_mean[0], out=x_in)
+    np.add(p_in, input_mean[1], out=p_in)
     s_env = np.sqrt(ch.v_env)
-    x_env, p_env = s_env * draws[2], s_env * draws[3]
-    x_v1, p_v1 = draws[4], draws[5]
-    x_v2, p_v2 = draws[6], draws[7]
-    x_vr, p_vr = draws[8], draws[9]
+    np.multiply(s_env, x_env, out=x_env)
+    np.multiply(s_env, p_env, out=p_env)
 
     t, r = np.sqrt(ch.eta), np.sqrt(1.0 - ch.eta)
-    x_out = t * x_in + r * x_env
-    p_out = t * p_in + r * p_env
-    x_leak = r * x_in - t * x_env
-    p_leak = r * p_in - t * p_env
+    _mix(t, x_in, r, x_env, x_out, tmp)
+    _mix(t, p_in, r, p_env, p_out, tmp)
+    # the leaked mode r x_in - t x_env replaces the environment draws
+    x_leak = _mix(r, x_in, -t, x_env, x_env, tmp)
+    p_leak = _mix(r, p_in, -t, p_env, p_env, tmp)
 
     tg, rg = np.sqrt(tap.gamma), np.sqrt(1.0 - tap.gamma)
-    x_tm = tg * x_leak + rg * x_v1
-    p_tm = tg * p_leak + rg * p_v1
+    x_tm = _mix(tg, x_leak, rg, x_v1, x_v1, tmp)
+    p_tm = _mix(tg, p_leak, rg, p_v1, p_v1, tmp)
 
     if tap.detector is Detector.HETERODYNE:
         half = np.sqrt(0.5)
-        x_tap = half * (x_tm + x_v2)
-        p_tap = half * (p_tm - p_v2)
+        x_tap = np.multiply(half, np.add(x_tm, x_v2, out=x_v2), out=x_v2)
+        p_tap = np.multiply(half, np.subtract(p_tm, p_v2, out=p_v2), out=p_v2)
     elif tap.detector is Detector.HOMODYNE_X:
-        x_tap = x_tm
-        p_tap = -p_v2
+        x_tap, p_tap = x_tm, np.negative(p_v2, out=p_v2)
     else:
-        x_tap = x_v2
-        p_tap = p_tm
+        x_tap, p_tap = x_v2, p_tm
 
+    # the signal after feedforward stays in the x_out/p_out rows
     if plan is not None:
-        x_sig = x_out + plan.g_x * x_tap
-        p_sig = p_out + plan.g_p * p_tap
-    else:
-        x_sig, p_sig = x_out, p_out
+        np.add(x_out, np.multiply(plan.g_x, x_tap, out=tmp), out=x_out)
+        np.add(p_out, np.multiply(plan.g_p, p_tap, out=tmp), out=p_out)
 
-    x_recv = x_sig + x_vr
-    p_recv = p_sig + p_vr
-    return np.column_stack(
-        [x_in, p_in, x_tap, p_tap, x_recv, p_recv, x_tm, p_tm, x_sig, p_sig]
-    )
+    x_recv = np.add(x_out, x_vr, out=x_vr)
+    p_recv = np.add(p_out, p_vr, out=p_vr)
+    return x_in, p_in, x_tap, p_tap, x_recv, p_recv, x_tm, p_tm, x_out, p_out
+
+
+def _map_shards(work, n: int, workers: int) -> list:
+    """work(ws, shard_index, start, size) for every shard, in shard order.
+
+    Each worker takes a contiguous run of shards and one workspace.
+    """
+    shards = [
+        (i, i * SHARD_SIZE, min(SHARD_SIZE, n - i * SHARD_SIZE))
+        for i in range((n + SHARD_SIZE - 1) // SHARD_SIZE)
+    ]
+
+    def run(part):
+        ws = _Workspace()
+        return [work(ws, *shard) for shard in part]
+
+    if workers > 1:
+        step = -(-len(shards) // workers)
+        parts = [shards[i : i + step] for i in range(0, len(shards), step)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return [result for part in pool.map(run, parts) for result in part]
+    return run(shards)
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
 
 
 def sample(
@@ -146,64 +199,169 @@ def sample(
     seed: int,
     workers: int = 1,
 ) -> TrajectoryBatch:
-    """Draw n trajectories; deterministic in (inputs, seed) for any workers."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Draw n raw trajectory records; deterministic in (inputs, seed) for any workers."""
+    _check_n(n)
     seed = _check_seed(seed)
-    shards = [
-        (i, min(SHARD_SIZE, n - i * SHARD_SIZE))
-        for i in range((n + SHARD_SIZE - 1) // SHARD_SIZE)
-    ]
+    records = np.empty((n, len(COLUMNS)))
 
-    def run(item):
-        idx, size = item
-        return _draw_shard(ch, tap, input_mean, plan, size, seed, idx)
+    def work(ws, index, start, size):
+        cols = _draw_shard(ws, ch, tap, input_mean, plan, size, seed, index)
+        for j, col in enumerate(cols):
+            records[start : start + size, j] = col
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, shards))
-    else:
-        parts = [run(item) for item in shards]
-    return TrajectoryBatch(np.concatenate(parts, axis=0), seed)
+    _map_shards(work, n, workers)
+    return TrajectoryBatch(records, seed)
 
 
 # -- moment accumulation ----------------------------------------------------
 
 
+def _empty():
+    return (0, np.zeros(len(MOMENT_COLUMNS)), np.zeros(len(MOMENT_COLUMNS)), np.zeros(2))
+
+
 def _merge_moments(a, b):
-    # Welford/Chan combination of (count, mean, m2) pairs
-    (na, ma, sa), (nb, mb, sb) = a, b
+    # Welford/Chan combination of (count, mean, m2, co-moment) summaries
+    (na, ma, sa, ca), (nb, mb, sb, cb) = a, b
     if na == 0:
         return b
     if nb == 0:
         return a
     n = na + nb
     delta = mb - ma
+    weight = na * nb / n
     mean = ma + delta * (nb / n)
-    m2 = sa + sb + delta * delta * (na * nb / n)
-    return (n, mean, m2)
+    m2 = sa + sb + delta * delta * weight
+    co = ca + cb + delta[_SIG] * delta[_TAP_MODE] * weight
+    return (n, mean, m2, co)
 
 
-def _column_moments(batch: TrajectoryBatch, name: str):
-    col = batch.column(name)
-    total = (0, 0.0, 0.0)
-    for sl in batch.shard_slices():
-        vals = col[sl]
-        mean = float(np.mean(vals))
-        m2 = float(np.sum((vals - mean) ** 2))
-        total = _merge_moments(total, (vals.size, mean, m2))
-    return total
+def _moments(cols, ws: _Workspace):
+    """(count, mean, m2, co) of equal-length 1-D MOMENT_COLUMNS rows.
+
+    Each row is reduced on its own and contiguously, so a column's mean
+    and m2 do not depend on the other columns. The rows may be ws.dev.
+    """
+    count = cols[0].size
+    if count == 0:
+        return _empty()
+    mean = np.empty(len(cols))
+    m2 = np.empty(len(cols))
+    dev = ws.dev[:, :count]
+    square = ws.square[:count]
+    for i, col in enumerate(cols):
+        mean[i] = np.mean(col)
+        np.subtract(col, mean[i], out=dev[i])
+        m2[i] = np.sum(np.square(dev[i], out=square))
+    co = np.array([
+        np.sum(np.multiply(dev[s], dev[t], out=square)) for s, t in zip(_SIG, _TAP_MODE)
+    ])
+    return (count, mean, m2, co)
 
 
-def _column_variance(batch, name):
-    count, mean, m2 = _column_moments(batch, name)
-    if count < 2:
-        raise ValueError("need at least two samples for a variance")
-    return count, mean, m2 / (count - 1)
+def _replicate_edges(n: int) -> list[int]:
+    """Boundaries of the zero-window replicate blocks: np.array_split(n, k)."""
+    k = max(2, min(64, n // 512))
+    q, r = divmod(n, k)
+    return [i * q + min(i, r) for i in range(k + 1)]
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Shard-merged moments of MOMENT_COLUMNS over the accepted trajectories.
+
+    mean and m2 (sum of squared deviations) hold one entry per moment
+    column; co holds the (signal, tapped mode) co-moment per quadrature.
+    blocks holds the zero-window replicate blocks, each a (count, mean, m2,
+    co) summary, when they were requested.
+    """
+
+    n_total: int
+    n_accepted: int
+    mean: np.ndarray
+    m2: np.ndarray
+    co: np.ndarray
+    blocks: tuple = ()
+
+    def column(self, name: str) -> tuple[int, float, float]:
+        """(count, mean, unbiased variance) of one moment column."""
+        count = self.n_accepted
+        if count < 2:
+            raise ValueError("need at least two samples for a variance")
+        i = MOMENT_COLUMNS.index(name)
+        return count, float(self.mean[i]), float(self.m2[i]) / (count - 1)
+
+
+def windowed_moments(
+    ch: ChannelParams,
+    tap: TapConfig,
+    input_mean: tuple[float, float],
+    window,
+    n: int,
+    seed: int,
+    workers: int = 1,
+    *,
+    plan: Optional[FeedforwardPlan] = None,
+    replicates: bool = False,
+) -> Moments:
+    """Moments of the MOMENT_COLUMNS over n trajectories, streamed in shards.
+
+    window is None to accept every trajectory, or (x_th, p_th) to accept
+    those with |x_tap| <= x_th and |p_tap| <= p_th. plan applies feedforward
+    to the signal. replicates (window None only) also reduces the blocks
+    that `estimate_zero_window` takes its stderr from. Same draws as
+    `sample` for the same arguments; raises ValueError on non-finite moments.
+    """
+    _check_n(n)
+    seed = _check_seed(seed)
+    if window is not None:
+        if replicates:
+            raise ValueError("zero-window replicates need every trajectory (window=None)")
+        x_th, p_th = float(window[0]), float(window[1])
+    edges = _replicate_edges(n) if replicates else []
+
+    def work(ws, index, start, size):
+        cols = _draw_shard(ws, ch, tap, input_mean, plan, size, seed, index)
+        moment_cols = [cols[i] for i in _MOMENT_INDEX]
+        if window is None:
+            shard = _moments(moment_cols, ws)
+        else:
+            keep, scratch = ws.keep[0, :size], ws.keep[1, :size]
+            tmp = ws.out[2, :size]
+            np.less_equal(np.abs(cols[_X_TAP], out=tmp), x_th, out=keep)
+            np.less_equal(np.abs(cols[_P_TAP], out=tmp), p_th, out=scratch)
+            np.logical_and(keep, scratch, out=keep)
+            m = int(np.count_nonzero(keep))
+            kept = [np.compress(keep, col, out=row[:m]) for col, row in zip(moment_cols, ws.dev)]
+            shard = _moments(kept, ws)
+        # each replicate block gets the part of this shard that falls in it
+        pieces = []
+        if edges:
+            block = bisect_right(edges, start) - 1
+            while block < len(edges) - 1 and edges[block] < start + size:
+                lo = max(edges[block], start) - start
+                hi = min(edges[block + 1], start + size) - start
+                pieces.append((block, _moments([col[lo:hi] for col in moment_cols], ws)))
+                block += 1
+        return shard, pieces
+
+    total = _empty()
+    blocks = [_empty() for _ in edges[1:]]
+    for shard, pieces in _map_shards(work, n, workers):
+        total = _merge_moments(total, shard)
+        for block, piece in pieces:
+            blocks[block] = _merge_moments(blocks[block], piece)
+    count, mean, m2, co = total
+    if not all(np.all(np.isfinite(values)) for values in (mean, m2, co)):
+        raise ValueError("trajectory moments must be finite")
+    return Moments(n, count, mean, m2, co, tuple(blocks))
+
+
+# -- estimators ---------------------------------------------------------------
 
 
 def estimate_added_noise(
-    batch: TrajectoryBatch,
+    moments: Moments,
     optical_gain: float,
     where: str = "signal",
 ):
@@ -221,7 +379,7 @@ def estimate_added_noise(
     prefix = "sig" if where == "signal" else "recv"
     out = []
     for quad in ("x", "p"):
-        count, _, var = _column_variance(batch, f"{quad}_{prefix}")
+        count, _, var = moments.column(f"{quad}_{prefix}")
         value = (var - optical_gain) / optical_gain
         stderr = np.sqrt(2.0 / (count - 1)) * var / optical_gain
         out.append((value, stderr))
@@ -229,7 +387,7 @@ def estimate_added_noise(
 
 
 def estimate_gain(
-    batch: TrajectoryBatch,
+    moments: Moments,
     input_mean: tuple[float, float],
     quadratures: tuple[str, ...] = ("x", "p"),
 ):
@@ -245,128 +403,53 @@ def estimate_gain(
         raise ValueError("input mean must be >= 5 shot-noise sigma per quadrature")
     ratios = []
     for quad in quadratures:
-        count, mean, var = _column_variance(batch, f"{quad}_sig")
+        count, mean, var = moments.column(f"{quad}_sig")
         ratios.append((mean / means[quad], np.sqrt(var / count) / abs(means[quad])))
     amp = sum(r[0] for r in ratios) / len(ratios)
     amp_err = np.sqrt(sum(r[1] ** 2 for r in ratios)) / len(ratios)
     return amp * amp, 2.0 * abs(amp) * amp_err
 
 
-def _zero_window_point(stats: dict, input_mean: tuple[float, float]):
-    """Regression summary -> (added_noise_x, added_noise_p, power_gain)."""
+def _zero_window_point(summary, input_mean: tuple[float, float]):
+    """(count, mean, m2, co) summary -> (added_noise_x, added_noise_p, power_gain)."""
+    count, mean, m2, co = summary
+    var, cov = m2 / (count - 1), co / (count - 1)
     amps = []
-    resid = {}
-    for quad, mean_in in zip(("x", "p"), input_mean):
-        var_t = stats[f"var_t{quad}"]
-        slope = stats[f"cov_{quad}"] / var_t
-        resid[quad] = stats[f"var_s{quad}"] - stats[f"cov_{quad}"] ** 2 / var_t
-        amps.append((stats[f"mean_s{quad}"] - slope * stats[f"mean_t{quad}"]) / mean_in)
+    resid = []
+    for quad, mean_in in enumerate(input_mean):
+        s, t = _SIG[quad], _TAP_MODE[quad]
+        slope = cov[quad] / var[t]
+        resid.append(var[s] - cov[quad] ** 2 / var[t])
+        amps.append((mean[s] - slope * mean[t]) / mean_in)
     amp = 0.5 * (amps[0] + amps[1])
     gain = amp * amp
-    return (resid["x"] - gain) / gain, (resid["p"] - gain) / gain, gain
+    return float((resid[0] - gain) / gain), float((resid[1] - gain) / gain), float(gain)
 
 
-def _regression_stats(records: np.ndarray) -> dict:
-    cols = {name: records[:, COLUMNS.index(name)] for name in COLUMNS}
-    out = {}
-    for quad in ("x", "p"):
-        s, t = cols[f"{quad}_sig"], cols[f"{quad}_tap_mode"]
-        out[f"mean_s{quad}"] = float(np.mean(s))
-        out[f"mean_t{quad}"] = float(np.mean(t))
-        out[f"var_s{quad}"] = float(np.var(s, ddof=1))
-        out[f"var_t{quad}"] = float(np.var(t, ddof=1))
-        out[f"cov_{quad}"] = float(np.cov(s, t, ddof=1)[0, 1])
-    return out
-
-
-def estimate_zero_window(batch: TrajectoryBatch, input_mean: tuple[float, float]):
+def estimate_zero_window(moments: Moments, input_mean: tuple[float, float]):
     """Sharp-selection limit estimated by regression, without post-selection.
 
     For jointly Gaussian records, the state conditioned on the tapped-mode
     values has covariance equal to the residual of the linear regression of
     the signal on the tap mode, and mean equal to the regression prediction
-    at tap = 0. Uses every sample; stderr comes from shard replicates.
+    at tap = 0. Uses every sample; stderr comes from the replicate blocks
+    of moments drawn with replicates=True.
 
     Returns {"added_noise_x": (v, err), "added_noise_p": (v, err),
              "gain": (g, err)}.
     """
     if min(abs(input_mean[0]), abs(input_mean[1])) < 5.0:
         raise ValueError("input mean must be >= 5 shot-noise sigma per quadrature")
-    if batch.n < 1024:
+    if moments.n_accepted < 1024:
         raise ValueError("zero-window regression needs at least 1024 trajectories")
-    point = _zero_window_point(_regression_stats(batch.records), input_mean)
-    # replicate blocks are a fixed function of n, independent of sharding
-    k = max(2, min(64, batch.n // 512))
-    reps = [
-        _zero_window_point(_regression_stats(block), input_mean)
-        for block in np.array_split(batch.records, k)
-    ]
-    reps = np.array(reps)
+    if not moments.blocks:
+        raise ValueError("zero-window regression needs moments drawn with replicates=True")
+    total = (moments.n_accepted, moments.mean, moments.m2, moments.co)
+    point = _zero_window_point(total, input_mean)
+    reps = np.array([_zero_window_point(block, input_mean) for block in moments.blocks])
     errs = np.std(reps, axis=0, ddof=1) / np.sqrt(len(reps))
     return {
         "added_noise_x": (point[0], float(errs[0])),
         "added_noise_p": (point[1], float(errs[1])),
         "gain": (point[2], float(errs[2])),
     }
-
-
-# -- streaming reduction for large-n heralding ------------------------------
-
-
-def windowed_moments(
-    ch: ChannelParams,
-    tap: TapConfig,
-    input_mean: tuple[float, float],
-    window,
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> dict:
-    """Accepted-subset moments of the receiver read-out, streamed in shards.
-
-    window is (x_th, p_th); a trajectory is accepted when |x_tap| <= x_th
-    and |p_tap| <= p_th. No feedforward is applied in this path. Returns a
-    dict with totals, acceptance count and per-quadrature receiver moments.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    seed = _check_seed(seed)
-    x_th, p_th = float(window[0]), float(window[1])
-    shards = [
-        (i, min(SHARD_SIZE, n - i * SHARD_SIZE))
-        for i in range((n + SHARD_SIZE - 1) // SHARD_SIZE)
-    ]
-
-    def run(item):
-        idx, size = item
-        rec = _draw_shard(ch, tap, input_mean, None, size, seed, idx)
-        keep = (np.abs(rec[:, 2]) <= x_th) & (np.abs(rec[:, 3]) <= p_th)
-        out = {}
-        for name in ("x_recv", "p_recv"):
-            vals = rec[keep, COLUMNS.index(name)]
-            if vals.size:
-                mean = float(np.mean(vals))
-                out[name] = (vals.size, mean, float(np.sum((vals - mean) ** 2)))
-            else:
-                out[name] = (0, 0.0, 0.0)
-        return out
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, shards))
-    else:
-        parts = [run(item) for item in shards]
-
-    result = {"n_total": n}
-    for name in ("x_recv", "p_recv"):
-        total = (0, 0.0, 0.0)
-        for part in parts:  # shard order fixed by the list, not completion
-            total = _merge_moments(total, part[name])
-        count, mean, m2 = total
-        result[name] = {
-            "count": count,
-            "mean": mean,
-            "var": m2 / (count - 1) if count > 1 else np.nan,
-        }
-    result["n_accepted"] = result["x_recv"]["count"]
-    return result

@@ -57,7 +57,7 @@ def closure_checks_for_cell(eta, gamma, v, seed):
     hom = TapConfig(gamma, Detector.HOMODYNE_X)
     checks = []
 
-    base = montecarlo.sample(ch, het, PROBE, None, N_CLOSURE, seed)
+    base = montecarlo.windowed_moments(ch, het, PROBE, None, N_CLOSURE, seed, replicates=True)
     for quad, est in zip("xp", montecarlo.estimate_added_noise(base, eta, "signal")):
         checks.append((f"bare_state_{quad}", (1 - eta) / eta * v, *est))
     for quad, est in zip("xp", montecarlo.estimate_added_noise(base, eta, "receiver")):
@@ -76,31 +76,31 @@ def closure_checks_for_cell(eta, gamma, v, seed):
     checks.append(("zero_window_gain", zero_window_gain(ch, het), *zero["gain"]))
 
     plan = plan_erasing_homodyne(ch, hom)
-    batch = montecarlo.sample(ch, hom, PROBE, plan, N_CLOSURE, seed + 1)
-    est = montecarlo.estimate_added_noise(batch, plan.optical_gain, "signal")[0]
+    moments = montecarlo.windowed_moments(ch, hom, PROBE, None, N_CLOSURE, seed + 1, plan=plan)
+    est = montecarlo.estimate_added_noise(moments, plan.optical_gain, "signal")[0]
     checks.append(("erased_quadrature", added_noise_hom_ff(ch, hom), *est))
 
     plan = plan_erasing_heterodyne(ch, het)
-    batch = montecarlo.sample(ch, het, PROBE, plan, N_CLOSURE, seed + 2)
+    moments = montecarlo.windowed_moments(ch, het, PROBE, None, N_CLOSURE, seed + 2, plan=plan)
     for quad, est in zip(
-        "xp", montecarlo.estimate_added_noise(batch, plan.optical_gain, "signal")
+        "xp", montecarlo.estimate_added_noise(moments, plan.optical_gain, "signal")
     ):
         checks.append((f"erasing_state_{quad}", added_noise_het_state(ch, het), *est))
     for quad, est in zip(
-        "xp", montecarlo.estimate_added_noise(batch, plan.optical_gain, "receiver")
+        "xp", montecarlo.estimate_added_noise(moments, plan.optical_gain, "receiver")
     ):
         checks.append(
             (f"erasing_receiver_{quad}", receiver_added_noise(ch, het, True), *est)
         )
 
     plan = plan_optimal_heterodyne(ch, het)
-    batch = montecarlo.sample(ch, het, PROBE, plan, N_CLOSURE, seed + 3)
+    moments = montecarlo.windowed_moments(ch, het, PROBE, None, N_CLOSURE, seed + 3, plan=plan)
     for quad, est in zip(
-        "xp", montecarlo.estimate_added_noise(batch, plan.optical_gain, "signal")
+        "xp", montecarlo.estimate_added_noise(moments, plan.optical_gain, "signal")
     ):
         checks.append((f"optimal_state_{quad}", optimal_added_noise(ch, het), *est))
     checks.append(
-        ("optimal_gain", plan.optical_gain, *montecarlo.estimate_gain(batch, PROBE))
+        ("optimal_gain", plan.optical_gain, *montecarlo.estimate_gain(moments, PROBE))
     )
     return checks
 

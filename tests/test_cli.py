@@ -22,6 +22,10 @@ def write_config(path: Path, **overrides) -> Path:
     return target
 
 
+def records_forbidden(*args, **kwargs):
+    raise AssertionError("the CLI reads moments, never raw records")
+
+
 def read_rows(path: Path) -> list[dict]:
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# schema: envcorr.")
@@ -206,23 +210,31 @@ class TestStrategyTable:
     def test_run_draws_only_the_printed_batches(
         self, tmp_path, monkeypatch, strategy, samples
     ):
-        calls = {"sample": 0, "heralded": 0}
+        # batches are counted as moment-kernel calls outside heralded_statistics;
+        # no strategy keeps raw records
+        calls = {"kernel": 0, "heralded": 0}
+        kernel, heralded = montecarlo.windowed_moments, herald.heralded_statistics
+        inside_herald = []
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def counted_kernel(*args, **kwargs):
+            calls["kernel"] += not inside_herald
+            return kernel(*args, **kwargs)
 
-            return wrapper
+        def counted_heralded(*args, **kwargs):
+            calls["heralded"] += 1
+            inside_herald.append(True)
+            try:
+                return heralded(*args, **kwargs)
+            finally:
+                inside_herald.pop()
 
-        monkeypatch.setattr(montecarlo, "sample", counted("sample", montecarlo.sample))
-        monkeypatch.setattr(
-            herald, "heralded_statistics", counted("heralded", herald.heralded_statistics)
-        )
+        monkeypatch.setattr(montecarlo, "windowed_moments", counted_kernel)
+        monkeypatch.setattr(herald, "heralded_statistics", counted_heralded)
+        monkeypatch.setattr(montecarlo, "sample", records_forbidden)
         extra = {"window": {"x_th": 2.0, "p_th": 2.0}} if strategy == "herald" else {}
         cfg = write_config(tmp_path, strategy=strategy, mc={"n": 10_000, "seed": 1}, **extra)
         assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 0
-        assert calls == {"sample": samples, "heralded": int(strategy == "herald")}
+        assert calls == {"kernel": samples, "heralded": int(strategy == "herald")}
         rows = read_rows(tmp_path / "out.csv")
         assert all(r["mc_estimate"] != "" for r in rows)
 
@@ -312,6 +324,50 @@ class TestReproduce:
         assert cli.main(["reproduce", "fig5", "--out", str(tmp_path), "--n", "100"]) == 2
         assert "--n" in capsys.readouterr().err
         assert not (tmp_path / "fig5.json").exists()
+
+    @pytest.mark.parametrize("target", ["fig3", "fig4"])
+    def test_presets_read_moments_only(self, tmp_path, monkeypatch, target):
+        monkeypatch.setattr(montecarlo, "sample", records_forbidden)
+        out = tmp_path / target
+        assert cli.main(["reproduce", target, "--out", str(out), "--n", "10000"]) == 0
+        rows = read_rows(out / f"{target}.csv")
+        assert all(v != "" for r in rows for k, v in r.items() if k.endswith("_mc"))
+
+    @pytest.mark.parametrize("target", ["fig3", "fig4"])
+    @pytest.mark.parametrize("n", ["5", "1", "-1", "9999"])
+    def test_small_n_rejected(self, tmp_path, capsys, target, n):
+        assert cli.main(["reproduce", target, "--out", str(tmp_path), "--n", n]) == 2
+        assert "--n" in capsys.readouterr().err
+        assert not (tmp_path / f"{target}.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_rejected(self, tmp_path, capsys, seed):
+        args = ["reproduce", "fig4", "--out", str(tmp_path), "--n", "10000", "--seed", seed]
+        assert cli.main(args) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_measured_file_unreadable(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        args = ["reproduce", "table1", "--out", str(tmp_path), "--measured", str(missing)]
+        assert cli.main(args) == 2
+        assert "--measured" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0.92,abc,0.1,1.1", "0.92,0.1,0.1", "0.92,nan,0.1,1.1"])
+    def test_measured_malformed_row_names_line(self, tmp_path, capsys, row):
+        measured = tmp_path / "measured.csv"
+        measured.write_text(f"gamma,v_add_x,v_add_p,gain\n0.2,1.04,0.94,1.04\n{row}\n")
+        args = ["reproduce", "table1", "--out", str(tmp_path), "--measured", str(measured)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert "--measured" in err and "line 3" in err
+
+    def test_measured_header_only_keeps_columns_aligned(self, tmp_path):
+        measured = tmp_path / "measured.csv"
+        measured.write_text("gamma,v_add_x,v_add_p,gain\n")
+        args = ["reproduce", "table1", "--out", str(tmp_path), "--measured", str(measured)]
+        assert cli.main(args) == 0
+        lines = (tmp_path / "table1.csv").read_text().splitlines()[1:]
+        assert {len(line.split(",")) for line in lines} == {14}
 
     def test_unknown_target(self, tmp_path, capsys):
         assert cli.main(["reproduce", "fig9", "--out", str(tmp_path)]) == 2

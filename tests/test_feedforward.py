@@ -187,14 +187,14 @@ class TestApplyFeedforward:
     def test_condition_then_displace_reproduces_receiver_statistics(self):
         # Gaussian pipeline: per-trajectory tap outcomes conditioned into the
         # signal state and displaced by the plan must reproduce the erasing
-        # receiver noise; checked against a trajectory batch on one point.
+        # receiver noise; checked against trajectory moments on one point.
         eta, gamma, v = 0.9, 0.92, 25.0
         ch, tap = ChannelParams(eta, v), het(gamma)
         plan = plan_erasing_heterodyne(ch, tap)
         n = 1_000_000
-        batch = montecarlo.sample(ch, tap, (0.0, 0.0), plan, n, 777)
+        moments = montecarlo.windowed_moments(ch, tap, (0.0, 0.0), None, n, 777, plan=plan)
         (vx, sx), (vp, sp) = montecarlo.estimate_added_noise(
-            batch, plan.optical_gain, "receiver"
+            moments, plan.optical_gain, "receiver"
         )
         expected = receiver_added_noise(ch, tap, True)
         assert abs(vx - expected) < 5 * sx
@@ -204,6 +204,8 @@ class TestApplyFeedforward:
         for eta in (0.1, 0.9):
             ch, tap = ChannelParams(eta, 25.0), het(0.8)
             plan = plan_erasing_heterodyne(ch, tap)
-            batch = montecarlo.sample(ch, tap, (10.0, 10.0), plan, 1_000_000, 99)
-            gain, _ = montecarlo.estimate_gain(batch, (10.0, 10.0))
+            moments = montecarlo.windowed_moments(
+                ch, tap, (10.0, 10.0), None, 1_000_000, 99, plan=plan
+            )
+            gain, _ = montecarlo.estimate_gain(moments, (10.0, 10.0))
             assert abs(gain - 1.0 / eta) / (1.0 / eta) < 0.005

@@ -35,9 +35,9 @@ class TestWindow:
         x, p = np.abs(batch.column("x_tap")), np.abs(batch.column("p_tap"))
         for window in ((1.0, math.inf), (1.0, 0.4), (x[0], p[0])):
             out = montecarlo.windowed_moments(ch, tap, (0.0, 0.0), window, 20_000, 5)
-            assert out["n_accepted"] == np.sum((x <= window[0]) & (p <= window[1]))
+            assert out.n_accepted == np.sum((x <= window[0]) & (p <= window[1]))
         # boundaries are inside the window: trajectory 0 sits on both
-        assert out["n_accepted"] > np.sum((x < x[0]) & (p < p[0]))
+        assert out.n_accepted > np.sum((x < x[0]) & (p < p[0]))
 
     def test_negative_half_width_rejected(self):
         with pytest.raises(ValueError):
