@@ -14,6 +14,7 @@ Exit codes: 0 ok, 2 config error, 3 post-selection yielded nothing,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -31,6 +32,8 @@ from .qkd import Attack, EffectiveChannel
 SCHEMA_VERSION = "v1"
 DEFAULT_SEED = 20240817
 GAIN_PROBE_MEAN = (10.0, 10.0)
+# `mc_counterparts` seeds its batches at offsets 0..3, so preset point k owns seed + 4k
+POINT_SEEDS = 4
 KEY_RATES = ("k_direct", "k_direct_asymptotic", "k_reverse", "k_reverse_asymptotic")
 
 # strategy -> (gain, added noise) quantities of its corrected channel, which
@@ -90,6 +93,9 @@ def _number(value, where: str, allow_inf: bool = False) -> float:
 
 
 def _whole(value, where: str) -> int:
+    """A whole number; a JSON integer is kept exact, not routed through float."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     number = _number(value, where)
     if not number.is_integer():
         raise ConfigError(f"{where}: expected a whole number, got {value!r}")
@@ -248,6 +254,11 @@ def _outdir(args) -> Path:
 # -- Monte Carlo counterparts for formula values ------------------------------
 
 
+def batch_seed(seed: int, offset: int) -> int:
+    """Seed of the batch `offset` places after `seed`, wrapping within uint64."""
+    return (seed + offset) % 2**64
+
+
 def _avg(pair):
     (vx, sx), (vp, sp) = pair
     return 0.5 * (vx + vp), 0.5 * math.hypot(sx, sp)
@@ -270,7 +281,7 @@ def mc_counterparts(
 
     def draw(tap, plan, offset, replicates=False):
         return montecarlo.windowed_moments(
-            ch, tap, GAIN_PROBE_MEAN, None, n, seed + offset,
+            ch, tap, GAIN_PROBE_MEAN, None, n, batch_seed(seed, offset),
             plan=plan, replicates=replicates,
         )
 
@@ -346,10 +357,19 @@ def formula_values(ch: ChannelParams, tap: TapConfig) -> dict:
     }
 
 
+def strategy_key_rate(formulas: dict, strategy: str, sigma: float, attack: Attack):
+    """Key rates of a strategy's corrected formula channel; None if its noise is infinite."""
+    gain_key, noise_key, _ = STRATEGIES[strategy]
+    gain, noise = formulas[gain_key], formulas[noise_key]
+    if not math.isfinite(noise):
+        return None
+    return qkd.key_rate(EffectiveChannel(gain, noise), sigma, attack)
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     ch, tap = cfg["channel"], cfg["tap"]
-    gain_key, noise_key, quantities = STRATEGIES[cfg["strategy"]]
+    quantities = STRATEGIES[cfg["strategy"]][2]
     formulas = formula_values(ch, tap)
     mc = {}
     if cfg["n"] > 0:
@@ -367,7 +387,7 @@ def cmd_run(args) -> int:
 
     if cfg["strategy"] == "herald":
         result = herald.heralded_statistics(
-            ch, tap, cfg["window"], cfg["n"], cfg["seed"] + 4
+            ch, tap, cfg["window"], cfg["n"], batch_seed(cfg["seed"], 4)
         )
         for name, value, err in (
             ("heralded_added_noise_x", result.added_noise_x, result.added_noise_x_stderr),
@@ -379,17 +399,12 @@ def cmd_run(args) -> int:
             rows.append(context + [name, "", value, err])
 
     if cfg["qkd"]:
-        gain, noise = formulas[gain_key], formulas[noise_key]
-        if math.isfinite(noise):
-            try:
-                report = qkd.key_rate(
-                    EffectiveChannel(gain, noise),
-                    cfg["qkd"]["sigma"],
-                    cfg["qkd"]["attack"],
-                )
-            except ValueError:
-                rows.append(context + ["k_rates", "no_deterministic_dilation", "", ""])
-            else:
+        try:
+            report = strategy_key_rate(formulas, cfg["strategy"], **cfg["qkd"])
+        except ValueError:
+            rows.append(context + ["k_rates", "no_deterministic_dilation", "", ""])
+        else:
+            if report is not None:
                 for name in KEY_RATES:
                     rows.append(context + [name, getattr(report, name), "", ""])
 
@@ -465,52 +480,46 @@ def cmd_sweep(args) -> int:
 # -- bundled presets ----------------------------------------------------------
 
 
+def _point_cells(ch: ChannelParams, gamma: float, keys, n: int, seed: int, point: int):
+    """Formula, MC estimate and stderr of each key at a heterodyne-tap point.
+
+    Point `point` of a preset draws its batches from its own seed block.
+    """
+    formulas = formula_values(ch, TapConfig(gamma, Detector.HETERODYNE))
+    mc = {}
+    if n > 0:
+        mc = mc_counterparts(ch, gamma, n, batch_seed(seed, POINT_SEEDS * point), keys)
+    return [cell for key in keys for cell in (formulas[key], *mc.get(key, ("", "")))]
+
+
 def _preset_fig3(n: int, seed: int):
-    _check_mc_n(n, "--n")
-    rows = []
     header = [
         "eta", "v_env",
         "v_add_no_ff", "v_add_no_ff_mc", "v_add_no_ff_stderr",
         "v_add_ff_ideal", "v_add_ff_ideal_mc", "v_add_ff_ideal_stderr",
         "v_add_ff_tap92", "v_add_ff_tap92_mc", "v_add_ff_tap92_stderr",
     ]
-    offset = 0
-    for eta, v_range in ((0.9, np.linspace(10.0, 45.0, 15)), (0.1, np.linspace(1.1, 9.0, 15))):
-        for v in v_range:
+    # tap gamma -> the receiver noise curves read at that tap
+    taps = (
+        (1.0, ("receiver_added_noise_no_ff", "receiver_added_noise_ff")),
+        (0.92, ("receiver_added_noise_ff",)),
+    )
+    rows, summary = [], {}
+    points = itertools.count()
+    for name, eta, lo, hi in (("weak", 0.9, 10.0, 45.0), ("strong", 0.1, 1.1, 9.0)):
+        series = []
+        for v in np.linspace(lo, hi, 15):
             ch = ChannelParams(eta, float(v))
             row = [eta, float(v)]
-            for gamma in (None, 1.0, 0.92):
-                tap = TapConfig(gamma if gamma else 1.0, Detector.HETERODYNE)
-                formula = feedforward.receiver_added_noise(ch, tap, gamma is not None)
-                if n > 0:
-                    plan = (
-                        feedforward.plan_erasing_heterodyne(ch, tap) if gamma else None
-                    )
-                    moments = montecarlo.windowed_moments(
-                        ch, tap, GAIN_PROBE_MEAN, None, n, seed + offset, plan=plan
-                    )
-                    gain = plan.optical_gain if plan else ch.eta
-                    est = _avg(montecarlo.estimate_added_noise(moments, gain, "receiver"))
-                    row += [formula, est[0], est[1]]
-                    offset += 1
-                else:
-                    row += [formula, "", ""]
-            rows.append(row)
-    summary = {
-        "uncorrected_span_weak": [
-            feedforward.receiver_added_noise(ChannelParams(0.9, 10.0), TapConfig(1.0), False),
-            feedforward.receiver_added_noise(ChannelParams(0.9, 45.0), TapConfig(1.0), False),
-        ],
-        "uncorrected_span_strong": [
-            feedforward.receiver_added_noise(ChannelParams(0.1, 1.1), TapConfig(1.0), False),
-            feedforward.receiver_added_noise(ChannelParams(0.1, 9.0), TapConfig(1.0), False),
-        ],
-    }
+            for gamma, keys in taps:
+                row += _point_cells(ch, gamma, keys, n, seed, next(points))
+            series.append(row)
+        summary[f"uncorrected_span_{name}"] = [series[0][2], series[-1][2]]
+        rows += series
     return header, rows, summary
 
 
 def _preset_fig4(n: int, seed: int):
-    _check_mc_n(n, "--n")
     ch = ChannelParams(0.9, 25.0)
     reference = channel_mod.added_noise_uncorrected(ch)
     header = [
@@ -520,39 +529,11 @@ def _preset_fig4(n: int, seed: int):
         "channel_gain", "channel_gain_mc", "channel_gain_stderr",
         "v_add_uncorrected",
     ]
-    rows = []
-    for i, gamma in enumerate(np.arange(0.05, 1.0000001, 0.05)):
-        tap = TapConfig(float(gamma), Detector.HETERODYNE)
-        opt_plan = feedforward.plan_optimal_heterodyne(ch, tap)
-        row = [float(gamma)]
-        cells = {
-            "v_add_optimal": feedforward.optimal_added_noise(ch, tap),
-            "v_add_erasing": feedforward.added_noise_het_state(ch, tap),
-            "channel_gain": opt_plan.optical_gain,
-        }
-        if n > 0:
-            opt_moments = montecarlo.windowed_moments(
-                ch, tap, GAIN_PROBE_MEAN, None, n, seed + 2 * i, plan=opt_plan
-            )
-            opt = _avg(
-                montecarlo.estimate_added_noise(opt_moments, opt_plan.optical_gain, "signal")
-            )
-            gain = montecarlo.estimate_gain(opt_moments, GAIN_PROBE_MEAN)
-            er_plan = feedforward.plan_erasing_heterodyne(ch, tap)
-            er_moments = montecarlo.windowed_moments(
-                ch, tap, GAIN_PROBE_MEAN, None, n, seed + 2 * i + 1, plan=er_plan
-            )
-            er = _avg(
-                montecarlo.estimate_added_noise(er_moments, er_plan.optical_gain, "signal")
-            )
-            mc = {"v_add_optimal": opt, "v_add_erasing": er, "channel_gain": gain}
-        else:
-            mc = {}
-        for key in ("v_add_optimal", "v_add_erasing", "channel_gain"):
-            est = mc.get(key, ("", ""))
-            row += [cells[key], est[0], est[1]]
-        row.append(reference)
-        rows.append(row)
+    keys = ("optimal_added_noise", "added_noise_het_state", "optimal_gain")
+    rows = [
+        [float(gamma), *_point_cells(ch, float(gamma), keys, n, seed, point), reference]
+        for point, gamma in enumerate(np.arange(0.05, 1.0000001, 0.05))
+    ]
     summary = {"eta": 0.9, "v_env": 25.0, "v_add_uncorrected": reference}
     return header, rows, summary
 
@@ -633,6 +614,7 @@ def _preset_table1(n: int, seed: int, measured_path: str = ""):
     del n, seed  # analytic preset
     ch = ChannelParams(0.9, 25.0)
     sigma = 40.0
+    gain_key, noise_key, _ = STRATEGIES["optimal"]
     header = ["gamma", "v_add_theory", "gain_theory", *KEY_RATES]
     measured = {}
     if measured_path:
@@ -644,21 +626,19 @@ def _preset_table1(n: int, seed: int, measured_path: str = ""):
         ]
     rows = []
     for gamma in TABLE1_GAMMAS:
-        tap = TapConfig(gamma, Detector.HETERODYNE)
-        noise = feedforward.optimal_added_noise(ch, tap)
-        gain = feedforward.plan_optimal_heterodyne(ch, tap).optical_gain
-        report = qkd.key_rate(EffectiveChannel(gain, noise), sigma, Attack.COLLECTIVE)
-        row = [gamma, noise, gain, *(getattr(report, name) for name in KEY_RATES)]
+        formulas = formula_values(ch, TapConfig(gamma, Detector.HETERODYNE))
+        report = strategy_key_rate(formulas, "optimal", sigma, Attack.COLLECTIVE)
+        row = [
+            gamma, formulas[noise_key], formulas[gain_key],
+            *(getattr(report, name) for name in KEY_RATES),
+        ]
         if measured_path:
             if gamma in measured:
                 vx, vp, g_meas = measured[gamma]
-                kx = qkd.key_rate(EffectiveChannel(g_meas, vx), sigma, Attack.COLLECTIVE)
-                kp = qkd.key_rate(EffectiveChannel(g_meas, vp), sigma, Attack.COLLECTIVE)
-                row += [
-                    vx, vp, g_meas,
-                    kx.k_direct, kx.k_direct_asymptotic,
-                    kp.k_direct, kp.k_direct_asymptotic,
-                ]
+                row += [vx, vp, g_meas]
+                for noise in (vx, vp):
+                    k = qkd.key_rate(EffectiveChannel(g_meas, noise), sigma, Attack.COLLECTIVE)
+                    row += [k.k_direct, k.k_direct_asymptotic]
             else:
                 row += [""] * 7
         rows.append(row)
@@ -683,6 +663,9 @@ def cmd_reproduce(args) -> int:
         raise ConfigError(f"target: must be one of {sorted(presets)}")
     if not 0 <= args.seed < 2**64:
         raise ConfigError("--seed: must fit in an unsigned 64-bit integer")
+    _check_mc_n(args.n, "--n")
+    if args.measured and args.target != "table1":
+        raise ConfigError("--measured: only table1 reads measured values")
     header, rows, summary = presets[args.target](args.n, args.seed)
     outdir = _outdir(args)
     write_csv(outdir / f"{args.target}.csv", args.target, header, rows)

@@ -61,6 +61,24 @@ class TestRun:
         assert cli.main(["run", str(cfg), "--out", str(out_b)]) == 0
         assert (out_a / "out.csv").read_bytes() == (out_b / "out.csv").read_bytes()
 
+    def test_seeds_above_float_precision_stay_distinct(self, tmp_path):
+        outputs = []
+        for seed in (2**53, 2**53 + 1):
+            cfg = write_config(tmp_path, mc={"n": 10_000, "seed": seed})
+            assert cli.main(["run", str(cfg), "--out", str(tmp_path / str(seed))]) == 0
+            outputs.append((tmp_path / str(seed) / "out.csv").read_bytes())
+        assert outputs[0] != outputs[1]
+
+    @pytest.mark.parametrize("strategy", list(cli.STRATEGIES))
+    def test_largest_seed_wraps_batch_seeds(self, tmp_path, strategy):
+        extra = {"window": {"x_th": 2.0, "p_th": 2.0}} if strategy == "herald" else {}
+        cfg = write_config(
+            tmp_path, strategy=strategy, mc={"n": 10_000, "seed": 2**64 - 1}, **extra
+        )
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "out.csv")
+        assert all(r["mc_estimate"] != "" for r in rows)
+
     def test_malformed_config_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, channel={"eta": 1.5, "v_env": 25.0})
         assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
@@ -327,13 +345,61 @@ class TestReproduce:
 
     @pytest.mark.parametrize("target", ["fig3", "fig4"])
     def test_presets_read_moments_only(self, tmp_path, monkeypatch, target):
+        # every batch is drawn inside cli.mc_counterparts, one call per preset point:
+        # fig3 has 30 rows of 2 points (3 batches), fig4 20 points of 2 batches
+        points, batches = {"fig3": (60, 90), "fig4": (20, 40)}[target]
+        calls = {"points": 0, "kernel": 0, "kernel_outside": 0}
+        kernel, counterparts = montecarlo.windowed_moments, cli.mc_counterparts
+        inside = []
+
+        def counted_kernel(*args, **kwargs):
+            calls["kernel"] += 1
+            calls["kernel_outside"] += not inside
+            return kernel(*args, **kwargs)
+
+        def counted_counterparts(*args, **kwargs):
+            calls["points"] += 1
+            inside.append(True)
+            try:
+                return counterparts(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(montecarlo, "windowed_moments", counted_kernel)
+        monkeypatch.setattr(cli, "mc_counterparts", counted_counterparts)
         monkeypatch.setattr(montecarlo, "sample", records_forbidden)
         out = tmp_path / target
         assert cli.main(["reproduce", target, "--out", str(out), "--n", "10000"]) == 0
+        assert calls == {"points": points, "kernel": batches, "kernel_outside": 0}
         rows = read_rows(out / f"{target}.csv")
         assert all(v != "" for r in rows for k, v in r.items() if k.endswith("_mc"))
 
     @pytest.mark.parametrize("target", ["fig3", "fig4"])
+    def test_formula_columns_do_not_depend_on_n(self, tmp_path, target):
+        tables = []
+        for n in ("0", "10000"):
+            out = tmp_path / n
+            assert cli.main(["reproduce", target, "--out", str(out), "--n", n]) == 0
+            rows = read_rows(out / f"{target}.csv")
+            tables.append(
+                [{k: v for k, v in r.items() if not k.endswith(("_mc", "_stderr"))} for r in rows]
+            )
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("target", ["fig3", "fig4"])
+    def test_largest_seed_wraps_point_seeds(self, tmp_path, target):
+        args = ["reproduce", target, "--out", str(tmp_path), "--n", "10000"]
+        assert cli.main([*args, "--seed", str(2**64 - 1)]) == 0
+        assert json.loads((tmp_path / f"{target}.json").read_text())["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("target", ["fig3", "fig4", "fig5"])
+    def test_measured_only_for_table1(self, tmp_path, capsys, target):
+        args = ["reproduce", target, "--out", str(tmp_path), "--measured", "missing.csv"]
+        assert cli.main(args) == 2
+        assert "--measured: only table1" in capsys.readouterr().err
+        assert not (tmp_path / f"{target}.csv").exists()
+
+    @pytest.mark.parametrize("target", ["fig3", "fig4", "table1"])
     @pytest.mark.parametrize("n", ["5", "1", "-1", "9999"])
     def test_small_n_rejected(self, tmp_path, capsys, target, n):
         assert cli.main(["reproduce", target, "--out", str(tmp_path), "--n", n]) == 2
