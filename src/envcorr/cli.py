@@ -86,7 +86,10 @@ def _number(value, where: str, allow_inf: bool = False) -> float:
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: number too large for a float") from None
     if math.isnan(value) or (math.isinf(value) and not allow_inf):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return value
@@ -105,6 +108,8 @@ def _whole(value, where: str) -> int:
 def _check_mc_n(n: int, where: str) -> None:
     if n < 0 or 0 < n < 10_000:
         raise ConfigError(f"{where}: statistical runs need n >= 10000 (or 0 to disable)")
+    if n > montecarlo.MAX_N:
+        raise ConfigError(f"{where}: at most 2^53 trajectories, so counts stay exact")
 
 
 def _check_keys(raw: dict, allowed: set[str], where: str) -> None:
@@ -692,7 +697,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="emit a bundled study preset")
     p_rep.add_argument("target", help="fig3 | fig4 | fig5 | table1")
     p_rep.add_argument("--out", default="", help="output directory")
-    p_rep.add_argument("--n", type=int, default=100_000, help="MC trajectories per point")
+    p_rep.add_argument(
+        "--n", type=int, default=100_000, help="MC trajectories per point: 0, or 10^4 to 2^53"
+    )
     p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_rep.add_argument("--measured", default="", help="CSV of measured (gamma,v_x,v_p,gain)")
     p_rep.set_defaults(func=cmd_reproduce)

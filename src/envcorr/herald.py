@@ -93,7 +93,6 @@ def heralded_statistics(
     n: int,
     seed: int,
     input_mean: tuple[float, float] = (6.0, 6.0),
-    workers: int = 1,
 ) -> HeraldResult:
     """Monte Carlo estimate of the heralded channel over accepted trajectories.
 
@@ -107,7 +106,7 @@ def heralded_statistics(
     if tap.detector is not Detector.HETERODYNE:
         raise ValueError("heralding post-selects dual-quadrature tap outcomes")
     moments = montecarlo.windowed_moments(
-        ch, tap, input_mean, (window.x_th, window.p_th), n, seed, workers=workers
+        ch, tap, input_mean, (window.x_th, window.p_th), n, seed
     )
     m = moments.n_accepted
     success = m / n

@@ -16,19 +16,29 @@ Record columns, in order:
     x_sig, p_sig      signal quadratures after feedforward, before the
                       receiver detector
 
-Sampling is sharded: shard i draws from an independent substream keyed by
-(seed, i) with a fixed shard size, and reductions merge shards in index
-order, so results do not depend on the worker count.
+Each trajectory is 10 standard normals Z pushed through `_apply_optics`.
+The estimators need only the count, mean and scatter of the
+MOMENT_COLUMNS, and two samplers produce them:
 
-The estimators need only first and second moments, so `windowed_moments`
-reduces each shard to moments inside a reused workspace and never keeps
-the records; `sample` keeps the raw records for tests that inspect them.
+- Trajectories, for windowed (heralded) batches and for `sample`. Shard i
+  draws its normals from `default_rng([seed, i])` at a fixed shard size,
+  and `windowed_moments` reduces the accepted trajectories of each shard
+  to moments in a reused workspace, merging shards in index order.
+- Sufficient statistics, for window-free batches. Without a window the
+  moment columns are Y = A Z + b, and `affine_map` reads (A, b) off
+  `_apply_optics` run on a zero column and the 10 basis columns. For m iid
+  draws the mean of Z is N(0, I/m), its scatter is Wishart(I, m - 1), and
+  the two are independent, so a block of m trajectories draws 10 normals
+  for the mean and a Bartlett factor of the scatter (10 chi-squares, 45
+  normals) instead of 10 m normals. A batch is its `_replicate_edges`
+  blocks, each drawn on its own and pooled into the total; the blocks are
+  drawn in one go from `default_rng(SeedSequence(seed, spawn_key=(0,)))`,
+  a key no shard stream uses. Blocks of 10 or fewer draw Z explicitly.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +48,10 @@ from .channel import ChannelParams, Detector, TapConfig
 from .feedforward import FeedforwardPlan
 
 SHARD_SIZE = 1 << 14
+# largest batch: every count stays exact as a float64
+MAX_N = 2**53
+# standard normals per trajectory: the rows of the draws `_apply_optics` takes
+NORMALS = 10
 
 COLUMNS = (
     "x_in",
@@ -93,12 +107,12 @@ def _check_seed(seed: int) -> int:
 class _Workspace:
     """Scratch for one shard at a time, reused across the shards of a call."""
 
-    def __init__(self):
-        self.draws = np.empty(10 * SHARD_SIZE)  # flat, so any shard's draws are contiguous
-        self.out = np.empty((3, SHARD_SIZE))  # x_out, p_out, one temporary
-        self.dev = np.empty((len(MOMENT_COLUMNS), SHARD_SIZE))
-        self.square = np.empty(SHARD_SIZE)
-        self.keep = np.empty((2, SHARD_SIZE), dtype=bool)
+    def __init__(self, size: int = SHARD_SIZE):
+        self.draws = np.empty(NORMALS * size)  # flat, so any shard's draws are contiguous
+        self.out = np.empty((3, size))  # x_out, p_out, one temporary
+        self.dev = np.empty((len(MOMENT_COLUMNS), size))
+        self.square = np.empty(size)
+        self.keep = np.empty((2, size), dtype=bool)
 
 
 def _mix(a, x, b, y, out, tmp):
@@ -108,23 +122,22 @@ def _mix(a, x, b, y, out, tmp):
     return np.add(tmp, out, out=out)
 
 
-def _draw_shard(
+def _apply_optics(
     ws: _Workspace,
     ch: ChannelParams,
     tap: TapConfig,
     input_mean: tuple[float, float],
     plan: Optional[FeedforwardPlan],
+    draws: np.ndarray,
     size: int,
-    seed: int,
-    shard_index: int,
 ) -> tuple[np.ndarray, ...]:
-    """Draw one shard into ws; return the COLUMNS as views into ws.
+    """Turn NORMALS x size standard normals into the COLUMNS, in place.
 
-    Each column is the same floating-point expression of the same draws
-    whichever buffer holds it, so the records do not depend on the layout.
+    The rows of draws are x_in, p_in, x_env, p_env, x_v1, p_v1, x_v2, p_v2,
+    x_vr, p_vr; the returned columns are views into draws and ws. Each column
+    is the same floating-point expression of the same draws whichever buffer
+    holds it, so the records do not depend on the layout.
     """
-    draws = ws.draws[: 10 * size].reshape(10, size)
-    np.random.default_rng([seed, shard_index]).standard_normal(out=draws)
     x_in, p_in, x_env, p_env, x_v1, p_v1, x_v2, p_v2, x_vr, p_vr = draws
     x_out, p_out, tmp = (row[:size] for row in ws.out)
     np.add(x_in, input_mean[0], out=x_in)
@@ -163,31 +176,35 @@ def _draw_shard(
     return x_in, p_in, x_tap, p_tap, x_recv, p_recv, x_tm, p_tm, x_out, p_out
 
 
-def _map_shards(work, n: int, workers: int) -> list:
-    """work(ws, shard_index, start, size) for every shard, in shard order.
+def _draw_shard(
+    ws: _Workspace,
+    ch: ChannelParams,
+    tap: TapConfig,
+    input_mean: tuple[float, float],
+    plan: Optional[FeedforwardPlan],
+    size: int,
+    seed: int,
+    shard_index: int,
+) -> tuple[np.ndarray, ...]:
+    """Draw one shard's normals into ws; return its COLUMNS as views into ws."""
+    draws = ws.draws[: NORMALS * size].reshape(NORMALS, size)
+    np.random.default_rng([seed, shard_index]).standard_normal(out=draws)
+    return _apply_optics(ws, ch, tap, input_mean, plan, draws, size)
 
-    Each worker takes a contiguous run of shards and one workspace.
+
+def _map_shards(work, n: int):
+    """Yield work(ws, shard_index, start, size) for every shard, in shard order.
+
+    Shards are made as they are consumed, and all share one workspace.
     """
-    shards = [
-        (i, i * SHARD_SIZE, min(SHARD_SIZE, n - i * SHARD_SIZE))
-        for i in range((n + SHARD_SIZE - 1) // SHARD_SIZE)
-    ]
-
-    def run(part):
-        ws = _Workspace()
-        return [work(ws, *shard) for shard in part]
-
-    if workers > 1:
-        step = -(-len(shards) // workers)
-        parts = [shards[i : i + step] for i in range(0, len(shards), step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return [result for part in pool.map(run, parts) for result in part]
-    return run(shards)
+    ws = _Workspace()
+    for index, start in enumerate(range(0, n, SHARD_SIZE)):
+        yield work(ws, index, start, min(SHARD_SIZE, n - start))
 
 
 def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= MAX_N:
+        raise ValueError("n must be in [1, 2^53]")
 
 
 def sample(
@@ -197,9 +214,8 @@ def sample(
     plan: Optional[FeedforwardPlan],
     n: int,
     seed: int,
-    workers: int = 1,
 ) -> TrajectoryBatch:
-    """Draw n raw trajectory records; deterministic in (inputs, seed) for any workers."""
+    """Draw n raw trajectory records; deterministic in (inputs, seed)."""
     _check_n(n)
     seed = _check_seed(seed)
     records = np.empty((n, len(COLUMNS)))
@@ -209,7 +225,8 @@ def sample(
         for j, col in enumerate(cols):
             records[start : start + size, j] = col
 
-    _map_shards(work, n, workers)
+    for _ in _map_shards(work, n):
+        pass
     return TrajectoryBatch(records, seed)
 
 
@@ -268,7 +285,7 @@ def _replicate_edges(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Moments:
-    """Shard-merged moments of MOMENT_COLUMNS over the accepted trajectories.
+    """Moments of MOMENT_COLUMNS over the accepted trajectories of a batch.
 
     mean and m2 (sum of squared deviations) hold one entry per moment
     column; co holds the (signal, tapped mode) co-moment per quadrature.
@@ -299,62 +316,130 @@ def windowed_moments(
     window,
     n: int,
     seed: int,
-    workers: int = 1,
     *,
     plan: Optional[FeedforwardPlan] = None,
     replicates: bool = False,
 ) -> Moments:
-    """Moments of the MOMENT_COLUMNS over n trajectories, streamed in shards.
+    """Moments of the MOMENT_COLUMNS over n trajectories.
 
-    window is None to accept every trajectory, or (x_th, p_th) to accept
-    those with |x_tap| <= x_th and |p_tap| <= p_th. plan applies feedforward
-    to the signal. replicates (window None only) also reduces the blocks
-    that `estimate_zero_window` takes its stderr from. Same draws as
-    `sample` for the same arguments; raises ValueError on non-finite moments.
+    window is None to accept every trajectory, drawn from sufficient
+    statistics, or (x_th, p_th) to accept those with |x_tap| <= x_th and
+    |p_tap| <= p_th, streamed as trajectories in shards with the draws of
+    `sample`. plan applies feedforward to the signal. replicates (window
+    None only) also keeps the blocks that `estimate_zero_window` takes its
+    stderr from. Raises ValueError on non-finite moments.
     """
     _check_n(n)
     seed = _check_seed(seed)
-    if window is not None:
-        if replicates:
-            raise ValueError("zero-window replicates need every trajectory (window=None)")
+    blocks = []
+    if window is None:
+        total, *blocks = _sufficient_moments(ch, tap, input_mean, plan, n, seed, replicates)
+    elif replicates:
+        raise ValueError("zero-window replicates need every trajectory (window=None)")
+    else:
         x_th, p_th = float(window[0]), float(window[1])
-    edges = _replicate_edges(n) if replicates else []
 
-    def work(ws, index, start, size):
-        cols = _draw_shard(ws, ch, tap, input_mean, plan, size, seed, index)
-        moment_cols = [cols[i] for i in _MOMENT_INDEX]
-        if window is None:
-            shard = _moments(moment_cols, ws)
-        else:
+        def work(ws, index, start, size):
+            cols = _draw_shard(ws, ch, tap, input_mean, plan, size, seed, index)
             keep, scratch = ws.keep[0, :size], ws.keep[1, :size]
             tmp = ws.out[2, :size]
             np.less_equal(np.abs(cols[_X_TAP], out=tmp), x_th, out=keep)
             np.less_equal(np.abs(cols[_P_TAP], out=tmp), p_th, out=scratch)
             np.logical_and(keep, scratch, out=keep)
             m = int(np.count_nonzero(keep))
-            kept = [np.compress(keep, col, out=row[:m]) for col, row in zip(moment_cols, ws.dev)]
-            shard = _moments(kept, ws)
-        # each replicate block gets the part of this shard that falls in it
-        pieces = []
-        if edges:
-            block = bisect_right(edges, start) - 1
-            while block < len(edges) - 1 and edges[block] < start + size:
-                lo = max(edges[block], start) - start
-                hi = min(edges[block + 1], start + size) - start
-                pieces.append((block, _moments([col[lo:hi] for col in moment_cols], ws)))
-                block += 1
-        return shard, pieces
+            kept = [
+                np.compress(keep, cols[i], out=row[:m]) for i, row in zip(_MOMENT_INDEX, ws.dev)
+            ]
+            return _moments(kept, ws)
 
-    total = _empty()
-    blocks = [_empty() for _ in edges[1:]]
-    for shard, pieces in _map_shards(work, n, workers):
-        total = _merge_moments(total, shard)
-        for block, piece in pieces:
-            blocks[block] = _merge_moments(blocks[block], piece)
+        total = functools.reduce(_merge_moments, _map_shards(work, n), _empty())
     count, mean, m2, co = total
     if not all(np.all(np.isfinite(values)) for values in (mean, m2, co)):
         raise ValueError("trajectory moments must be finite")
     return Moments(n, count, mean, m2, co, tuple(blocks))
+
+
+# -- sufficient statistics ------------------------------------------------------
+
+
+def affine_map(
+    ch: ChannelParams,
+    tap: TapConfig,
+    input_mean: tuple[float, float],
+    plan: Optional[FeedforwardPlan],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) such that one trajectory's MOMENT_COLUMNS are A Z + b.
+
+    Z is the trajectory's NORMALS standard normals. The map is read off
+    `_apply_optics` run on a zero column (b) and the basis columns (b plus
+    a column of A), so it is the sampler's own arithmetic, not a closed form.
+    """
+    size = NORMALS + 1
+    draws = np.hstack([np.zeros((NORMALS, 1)), np.eye(NORMALS)])
+    cols = _apply_optics(_Workspace(size), ch, tap, input_mean, plan, draws, size)
+    out = np.array([cols[i] for i in _MOMENT_INDEX])
+    return out[:, 1:] - out[:, :1], out[:, 0]
+
+
+_LOWER = np.tril_indices(NORMALS, -1)
+_NORMAL_DIAG = np.arange(NORMALS)
+
+
+def _normal_statistics(rng: np.random.Generator, sizes: np.ndarray):
+    """Mean (k, NORMALS) and scatter (k, NORMALS, NORMALS) of each block's draws.
+
+    Block j holds sizes[j] iid N(0, I) vectors. When every block has more than
+    NORMALS of them, the mean is drawn as N(0, I/m) and the scatter as
+    Wishart(I, m - 1) by Bartlett decomposition, L L^T with L lower
+    triangular, L_ii^2 ~ chi^2(m - 1 - i) and N(0, 1) below the diagonal:
+    first the k means, then the k x 45 sub-diagonal normals, then the k x 10
+    chi-squares. Otherwise each block's vectors are drawn and reduced.
+    """
+    k = len(sizes)
+    if sizes.min() > NORMALS:
+        m = sizes.astype(float)
+        means = rng.standard_normal((k, NORMALS)) / np.sqrt(m)[:, None]
+        factor = np.zeros((k, NORMALS, NORMALS))
+        factor[:, _LOWER[0], _LOWER[1]] = rng.standard_normal((k, len(_LOWER[0])))
+        chi2 = rng.chisquare(m[:, None] - 1.0 - _NORMAL_DIAG)
+        factor[:, _NORMAL_DIAG, _NORMAL_DIAG] = np.sqrt(chi2)
+        return means, factor @ factor.transpose(0, 2, 1)
+    means = np.zeros((k, NORMALS))
+    scatters = np.zeros((k, NORMALS, NORMALS))
+    for j, m in enumerate(sizes):
+        if m:
+            z = rng.standard_normal((m, NORMALS))
+            means[j] = z.mean(axis=0)
+            dev = z - means[j]
+            scatters[j] = dev.T @ dev
+    return means, scatters
+
+
+def _sufficient_moments(ch, tap, input_mean, plan, n: int, seed: int, replicates: bool):
+    """(count, mean, m2, co) of a window-free batch, then of its blocks if replicates.
+
+    The batch's statistics pool its `_replicate_edges` blocks, so the total
+    does not depend on replicates.
+    """
+    sizes = np.diff(_replicate_edges(n))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    means, scatters = _normal_statistics(rng, sizes)
+    # the pooled mean and scatter: the merge `_merge_moments` makes, in one step
+    mean = sizes @ means / n
+    dev = means - mean
+    counts = [n]
+    z_mean = mean[None]
+    z_scatter = (scatters.sum(axis=0) + (dev.T * sizes) @ dev)[None]
+    if replicates:
+        counts += sizes.tolist()
+        z_mean = np.concatenate([z_mean, means])
+        z_scatter = np.concatenate([z_scatter, scatters])
+    a, b = affine_map(ch, tap, input_mean, plan)
+    y_mean = z_mean @ a.T + b
+    y_scatter = a @ z_scatter @ a.T
+    m2 = np.diagonal(y_scatter, axis1=1, axis2=2)
+    co = y_scatter[:, _SIG, _TAP_MODE]
+    return [(count, y_mean[j], m2[j], co[j]) for j, count in enumerate(counts)]
 
 
 # -- estimators ---------------------------------------------------------------

@@ -66,10 +66,10 @@ class EffectiveChannel:
     detection: Detection = Detection.HOMODYNE
 
     def __post_init__(self):
-        if self.gain <= 0.0:
-            raise ValueError("gain must be positive")
-        if self.added_noise < 0.0:
-            raise ValueError("added_noise must be non-negative")
+        if not (math.isfinite(self.gain) and self.gain > 0.0):
+            raise ValueError("gain must be positive and finite")
+        if not (math.isfinite(self.added_noise) and self.added_noise >= 0.0):
+            raise ValueError("added_noise must be non-negative and finite")
 
 
 @dataclass(frozen=True)

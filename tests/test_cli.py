@@ -145,6 +145,27 @@ class TestRun:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
 
+    def test_oversized_integer_named(self, tmp_path, capsys):
+        # a JSON integer beyond the float range, written out digit by digit
+        cfg = write_config(tmp_path)
+        text = cfg.read_text(encoding="utf-8").replace('"v_env": 25.0', '"v_env": 1' + "0" * 400)
+        cfg.write_text(text, encoding="utf-8")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "channel.v_env: number too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [2**53 + 1, 10**20, 1e20], ids=["cap+1", "int", "float"])
+    def test_n_above_cap_rejected(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, mc={"n": n})
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "mc.n: at most 2^53" in capsys.readouterr().err
+
+    def test_n_at_cap_runs_window_free(self, tmp_path):
+        cfg = write_config(tmp_path, strategy="none", mc={"n": 2**53, "seed": 3})
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = {r["quantity"]: r for r in read_rows(tmp_path / "out.csv")}
+        row = rows["added_noise_uncorrected"]
+        assert abs(float(row["mc_estimate"]) - float(row["formula"])) < 5 * float(row["mc_stderr"])
+
     def test_open_window_may_be_infinite(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -404,6 +425,12 @@ class TestReproduce:
     def test_small_n_rejected(self, tmp_path, capsys, target, n):
         assert cli.main(["reproduce", target, "--out", str(tmp_path), "--n", n]) == 2
         assert "--n" in capsys.readouterr().err
+        assert not (tmp_path / f"{target}.csv").exists()
+
+    @pytest.mark.parametrize("target", ["fig3", "fig4", "fig5", "table1"])
+    def test_n_above_cap_rejected(self, tmp_path, capsys, target):
+        assert cli.main(["reproduce", target, "--out", str(tmp_path), "--n", str(10**20)]) == 2
+        assert "--n: at most 2^53" in capsys.readouterr().err
         assert not (tmp_path / f"{target}.csv").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -109,13 +109,6 @@ class TestHeraldedStatistics:
         b = heralded_statistics(ch, tap, w, 50_000, 31)
         assert a == b
 
-    def test_worker_count_invariance(self):
-        ch, tap = ChannelParams(0.9, 25.0), TapConfig(0.7)
-        w = scaled_window(ch, tap, 1.0)
-        a = heralded_statistics(ch, tap, w, 60_000, 7, workers=1)
-        b = heralded_statistics(ch, tap, w, 60_000, 7, workers=4)
-        assert a == b
-
     def test_open_window_matches_unselected_receiver(self):
         ch, tap = ChannelParams(0.9, 25.0), TapConfig(0.7)
         res = heralded_statistics(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -5,6 +7,9 @@ from scipy import stats as scipy_stats
 from envcorr import montecarlo
 from envcorr.channel import ChannelParams, Detector, TapConfig
 from envcorr.feedforward import (
+    added_noise_het_state,
+    added_noise_hom_ff,
+    optimal_added_noise,
     plan_erasing_heterodyne,
     plan_erasing_homodyne,
     plan_optimal_heterodyne,
@@ -15,7 +20,9 @@ from envcorr.montecarlo import (
     COLUMNS,
     MOMENT_COLUMNS,
     SHARD_SIZE,
+    Moments,
     TrajectoryBatch,
+    affine_map,
     estimate_added_noise,
     estimate_gain,
     estimate_zero_window,
@@ -23,28 +30,32 @@ from envcorr.montecarlo import (
     windowed_moments,
 )
 
+from conftest import grid_points
+
 
 def het(gamma):
     return TapConfig(gamma, Detector.HETERODYNE)
 
 
 CH = ChannelParams(0.9, 25.0)
+OPEN = (np.inf, np.inf)
+PROBE = (10.0, 10.0)
 
 
 def moments(ch, tap, input_mean, plan, n, seed, **kwargs):
-    # the estimators' input, drawn from the same stream as sample(...)
+    # the estimators' input for a window-free batch, drawn from sufficient statistics
     return windowed_moments(ch, tap, input_mean, None, n, seed, plan=plan, **kwargs)
+
+
+def trajectory_moments(ch, tap, input_mean, plan, n, seed):
+    # the trajectory kernel accepting every trajectory: the draws of sample(...)
+    return windowed_moments(ch, tap, input_mean, OPEN, n, seed, plan=plan)
 
 
 class TestSampler:
     def test_seed_determinism_bytes(self):
         a = sample(CH, het(0.5), (1.0, 2.0), None, 40_000, 9)
         b = sample(CH, het(0.5), (1.0, 2.0), None, 40_000, 9)
-        assert a.records.tobytes() == b.records.tobytes()
-
-    def test_worker_count_invariance(self):
-        a = sample(CH, het(0.5), (1.0, 2.0), None, 70_000, 9, workers=1)
-        b = sample(CH, het(0.5), (1.0, 2.0), None, 70_000, 9, workers=4)
         assert a.records.tobytes() == b.records.tobytes()
 
     def test_different_seeds_differ(self):
@@ -115,7 +126,7 @@ class TestEstimators:
     def test_variance_matches_numpy_reference(self):
         batch = sample(CH, het(0.5), (0.0, 0.0), None, 50_000, 5)
         (vx, _), _ = estimate_added_noise(
-            moments(CH, het(0.5), (0.0, 0.0), None, 50_000, 5), 1.0, "signal"
+            trajectory_moments(CH, het(0.5), (0.0, 0.0), None, 50_000, 5), 1.0, "signal"
         )
         direct = np.var(batch.column("x_sig"), ddof=1) - 1.0
         assert vx == pytest.approx(direct, rel=1e-10)
@@ -217,6 +228,16 @@ def record_moments(batch, name, keep=None):
     return total
 
 
+def record_summary(records):
+    """(count, mean, m2, co) of the moment columns of a record array."""
+    cols = records[:, [COLUMNS.index(name) for name in MOMENT_COLUMNS]]
+    mean = cols.mean(axis=0)
+    dev = cols - mean
+    m2 = np.sum(dev * dev, axis=0)
+    co = np.array([dev[:, 0] @ dev[:, 4], dev[:, 1] @ dev[:, 5]])
+    return len(records), mean, m2, co
+
+
 def record_regression(records):
     cols = {name: records[:, COLUMNS.index(name)] for name in COLUMNS}
     out = {}
@@ -263,7 +284,7 @@ class TestMomentKernel:
     def test_moments_equal_record_reductions(self, tap, planner, windowed):
         plan = planner(CH, tap) if planner else None
         batch = sample(CH, tap, (3.0, -2.0), plan, self.N, 23)
-        window = (1.5, 2.0) if windowed else None
+        window = (1.5, 2.0) if windowed else OPEN
         keep = None
         if windowed:
             keep = (np.abs(batch.column("x_tap")) <= 1.5) & (np.abs(batch.column("p_tap")) <= 2.0)
@@ -276,8 +297,10 @@ class TestMomentKernel:
     def test_zero_window_matches_record_regression(self):
         tap, mean_in, n = het(0.6), (10.0, 10.0), 100_000
         records = sample(CH, tap, mean_in, None, n, 19).records
-        drawn = moments(CH, tap, mean_in, None, n, 19, replicates=True)
-        est = estimate_zero_window(drawn, mean_in)
+        # trajectory-kernel moments of the same draws, with record blocks as replicates
+        drawn = trajectory_moments(CH, tap, mean_in, None, n, 19)
+        blocks = tuple(record_summary(block) for block in np.array_split(records, 64))
+        est = estimate_zero_window(dataclasses.replace(drawn, blocks=blocks), mean_in)
         point = record_zero_window_point(records, mean_in)
         reps = np.array(
             [record_zero_window_point(block, mean_in) for block in np.array_split(records, 64)]
@@ -294,17 +317,189 @@ class TestMomentKernel:
         with pytest.raises(ValueError, match="window"):
             windowed_moments(CH, het(0.5), (10.0, 10.0), (1.0, 1.0), 10_000, 3, replicates=True)
 
-    def test_worker_count_invariance(self):
-        a = moments(CH, het(0.5), (10.0, 10.0), None, 70_000, 9, replicates=True)
-        b = moments(CH, het(0.5), (10.0, 10.0), None, 70_000, 9, workers=3, replicates=True)
-        for x, y in zip((a.mean, a.m2, a.co), (b.mean, b.m2, b.co)):
-            assert x.tobytes() == y.tobytes()
-        assert len(a.blocks) == len(b.blocks) == 64
-        for block_a, block_b in zip(a.blocks, b.blocks):
-            assert block_a[0] == block_b[0]
-            assert all(x.tobytes() == y.tobytes() for x, y in zip(block_a[1:], block_b[1:]))
-
     def test_non_finite_moments_rejected(self):
-        # squares of 1e154-scale environment draws overflow the m2 sums
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            windowed_moments(ChannelParams(0.5, 1e308), het(0.5), (0.0, 0.0), None, 10_000, 1)
+        # squares of 1e154-scale environment terms overflow the m2 sums, on
+        # the sufficient-statistic path (window None) and the trajectory path
+        for window in (None, OPEN):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="finite"
+            ):
+                windowed_moments(ChannelParams(0.5, 1e308), het(0.5), (0.0, 0.0), window, 10_000, 1)
+
+
+# -- sufficient-statistic sampler (window-free batches) -------------------------
+
+
+def exact_moments(a, b, n):
+    """Moments of n trajectories whose sample mean is b and covariance A A^T."""
+    cov = a @ a.T
+    m2 = np.diag(cov) * (n - 1)
+    co = np.array([cov[0, 4], cov[1, 5]]) * (n - 1)
+    summary = (n, b, m2, co)
+    return Moments(n, n, b, m2, co, (summary, summary))
+
+
+def hom(gamma):
+    return TapConfig(gamma, Detector.HOMODYNE_X)
+
+
+class TestSufficientSampler:
+    def test_affine_map_reproduces_the_optics(self):
+        tap, plan = het(0.7), plan_optimal_heterodyne(CH, het(0.7))
+        a, b = affine_map(CH, tap, (3.0, -2.0), plan)
+        draws = np.random.default_rng(5).standard_normal((montecarlo.NORMALS, 50))
+        ws = montecarlo._Workspace(50)
+        cols = montecarlo._apply_optics(ws, CH, tap, (3.0, -2.0), plan, draws.copy(), 50)
+        moment_cols = np.array([cols[COLUMNS.index(name)] for name in MOMENT_COLUMNS])
+        assert np.allclose(moment_cols, a @ draws + b[:, None], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("eta,gamma,v", grid_points())
+    def test_exact_map_closes_on_every_formula(self, eta, gamma, v):
+        # A A^T and b pushed through the estimators, with no sampling noise
+        ch, n = ChannelParams(eta, v), 10**6
+        checks = []
+
+        base = exact_moments(*affine_map(ch, het(gamma), PROBE, None), n)
+        for value, _ in estimate_added_noise(base, eta):
+            checks.append((value, (1 - eta) / eta * v))
+        for value, _ in estimate_added_noise(base, eta, "receiver"):
+            checks.append((value, receiver_added_noise(ch, het(gamma), False)))
+        checks.append((estimate_gain(base, PROBE)[0], eta))
+        zero = estimate_zero_window(base, PROBE)
+        checks += [
+            (zero["added_noise_x"][0], zero_window_added_noise(ch, het(gamma))),
+            (zero["added_noise_p"][0], zero_window_added_noise(ch, het(gamma))),
+            (zero["gain"][0], zero_window_gain(ch, het(gamma))),
+        ]
+
+        plan = plan_erasing_homodyne(ch, hom(gamma))
+        drawn = exact_moments(*affine_map(ch, hom(gamma), PROBE, plan), n)
+        (value, _), _ = estimate_added_noise(drawn, plan.optical_gain)
+        checks.append((value, added_noise_hom_ff(ch, hom(gamma))))
+        checks.append((estimate_gain(drawn, PROBE, ("x",))[0], 1 / eta))
+
+        plan = plan_erasing_heterodyne(ch, het(gamma))
+        drawn = exact_moments(*affine_map(ch, het(gamma), PROBE, plan), n)
+        for value, _ in estimate_added_noise(drawn, plan.optical_gain):
+            checks.append((value, added_noise_het_state(ch, het(gamma))))
+        for value, _ in estimate_added_noise(drawn, plan.optical_gain, "receiver"):
+            checks.append((value, receiver_added_noise(ch, het(gamma), True)))
+        checks.append((estimate_gain(drawn, PROBE)[0], 1 / eta))
+
+        plan = plan_optimal_heterodyne(ch, het(gamma))
+        drawn = exact_moments(*affine_map(ch, het(gamma), PROBE, plan), n)
+        for value, _ in estimate_added_noise(drawn, plan.optical_gain):
+            checks.append((value, optimal_added_noise(ch, het(gamma))))
+        checks.append((estimate_gain(drawn, PROBE)[0], plan.optical_gain))
+
+        assert len(checks) == 18
+        for value, formula in checks:
+            assert value == pytest.approx(formula, rel=1e-12, abs=1e-12)
+
+    def test_total_does_not_depend_on_replicates(self):
+        a = moments(CH, het(0.5), PROBE, None, 70_000, 9, replicates=True)
+        b = moments(CH, het(0.5), PROBE, None, 70_000, 9)
+        assert (a.n_accepted, a.mean.tobytes(), a.m2.tobytes(), a.co.tobytes()) == (
+            b.n_accepted, b.mean.tobytes(), b.m2.tobytes(), b.co.tobytes()
+        )
+        assert len(a.blocks) == 64 and not b.blocks
+        assert sum(block[0] for block in a.blocks) == 70_000
+
+    def test_seed_determinism(self):
+        a = moments(CH, het(0.5), PROBE, None, 10**6, 4)
+        b = moments(CH, het(0.5), PROBE, None, 10**6, 4)
+        c = moments(CH, het(0.5), PROBE, None, 10**6, 5)
+        assert a.m2.tobytes() == b.m2.tobytes() != c.m2.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5, 21, 22, 40])
+    def test_small_batches_have_the_exact_laws(self, n):
+        # n <= 21 splits into blocks of at most 10 draws, which are drawn
+        # explicitly; from 22 on every block takes the Bartlett route
+        tap, plan = het(0.5), plan_erasing_heterodyne(CH, het(0.5))
+        a, b = affine_map(CH, tap, PROBE, plan)
+        var = np.diag(a @ a.T)
+        means, scaled = [], []
+        for seed in range(400):
+            drawn = moments(CH, tap, PROBE, plan, n, seed)
+            assert drawn.n_accepted == n
+            means.append((drawn.mean - b) * np.sqrt(n / var))
+            scaled.append(drawn.m2 / var)
+        level = 1e-6
+        for i in range(len(MOMENT_COLUMNS)):
+            column = [row[i] for row in means]
+            assert scipy_stats.kstest(column, "norm").pvalue > level
+            column = [row[i] for row in scaled]
+            assert scipy_stats.kstest(column, scipy_stats.chi2(n - 1).cdf).pvalue > level
+
+    def test_single_trajectory(self):
+        drawn = moments(CH, het(0.5), PROBE, None, 1, 3, replicates=True)
+        assert drawn.n_accepted == 1 and np.all(drawn.m2 == 0)
+        assert [block[0] for block in drawn.blocks] == [1, 0]
+        with pytest.raises(ValueError, match="two samples"):
+            drawn.column("x_sig")
+
+    def test_batch_size_capped(self):
+        drawn = moments(CH, het(0.5), PROBE, None, montecarlo.MAX_N, 3)
+        assert drawn.n_accepted == 2**53
+        assert estimate_gain(drawn, PROBE)[0] == pytest.approx(CH.eta, rel=1e-6)
+        with pytest.raises(ValueError, match="2\\^53"):
+            moments(CH, het(0.5), PROBE, None, montecarlo.MAX_N + 1, 3)
+
+
+def estimator_outputs(drawn, kind, plan):
+    """Every value and stderr the estimators give for one batch of a plan kind."""
+    if kind == "erasing-hom":
+        (noise, _) = estimate_added_noise(drawn, plan.optical_gain)
+        return [*noise, *estimate_gain(drawn, PROBE, ("x",))]
+    gain = plan.optical_gain if plan else CH.eta
+    out = [v for pair in estimate_added_noise(drawn, gain) for v in pair]
+    out += [v for pair in estimate_added_noise(drawn, gain, "receiver") for v in pair]
+    out += estimate_gain(drawn, PROBE)
+    if drawn.blocks:
+        out += [v for pair in estimate_zero_window(drawn, PROBE).values() for v in pair]
+    return out
+
+
+class TestSamplerEquivalence:
+    """Sufficient statistics against trajectories: same laws for every estimator."""
+
+    R, N = 200, 10_000
+
+    @pytest.mark.parametrize(
+        "kind, tap, planner",
+        [
+            ("none", het(0.6), None),
+            ("erasing-hom", hom(0.6), plan_erasing_homodyne),
+            ("erasing-het", het(0.6), plan_erasing_heterodyne),
+            ("optimal", het(0.6), plan_optimal_heterodyne),
+        ],
+        ids=["none-replicates", "erasing-hom", "erasing-het", "optimal"],
+    )
+    def test_estimators_agree(self, kind, tap, planner):
+        plan = planner(CH, tap) if planner else None
+        replicates = kind == "none"
+        sufficient, trajectories = [], []
+        for r in range(self.R):
+            drawn = moments(CH, tap, PROBE, plan, self.N, 50_000 + r, replicates=replicates)
+            sufficient.append(estimator_outputs(drawn, kind, plan))
+            records = sample(CH, tap, PROBE, plan, self.N, r).records
+            total = record_summary(records)
+            blocks = ()
+            if replicates:
+                blocks = tuple(
+                    record_summary(block) for block in np.array_split(records, len(drawn.blocks))
+                )
+            reference = Moments(self.N, self.N, *total[1:], blocks)
+            trajectories.append(estimator_outputs(reference, kind, plan))
+        sufficient, trajectories = np.array(sufficient), np.array(trajectories)
+        # a two-sided 5 sigma level for both the means and the F-test
+        level = 2 * scipy_stats.norm.sf(5.0)
+        dof = self.R - 1
+        for j in range(sufficient.shape[1]):
+            a, b = sufficient[:, j], trajectories[:, j]
+            var_a, var_b = np.var(a, ddof=1), np.var(b, ddof=1)
+            z = (a.mean() - b.mean()) / np.sqrt((var_a + var_b) / self.R)
+            assert abs(z) <= 5.0, (j, z)
+            ratio = scipy_stats.f(dof, dof)
+            p = 2 * min(ratio.cdf(var_a / var_b), ratio.sf(var_a / var_b))
+            assert p >= level, (j, var_a, var_b)

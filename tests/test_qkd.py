@@ -211,3 +211,13 @@ class TestEffectiveChannel:
             EffectiveChannel(0.0, 0.1)
         with pytest.raises(ValueError):
             EffectiveChannel(1.0, -0.1)
+
+    @pytest.mark.parametrize("gain", [math.nan, math.inf])
+    def test_non_finite_gain_rejected(self, gain):
+        with pytest.raises(ValueError, match="gain"):
+            EffectiveChannel(gain, 0.1)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="added_noise"):
+            EffectiveChannel(1.0, noise)
