@@ -17,28 +17,28 @@ Record columns, in order:
                       receiver detector
 
 Each trajectory is 10 standard normals Z pushed through `_apply_optics`.
-The estimators need only the count, mean and scatter of the
-MOMENT_COLUMNS, and two samplers produce them:
+The estimators need only the count, mean and scatter of the MOMENT_COLUMNS.
+Those columns are Y = A Z + b, and `affine_map` reads (A, b) off
+`_apply_optics` run on a zero column and the 10 basis columns. So every
+batch is reduced the same way: to blocks of (count, mean of Z, scatter of
+Z), which are pooled and mapped once through (A, b).
 
-- Trajectories, for windowed (heralded) batches and for `sample`. Shard i
-  draws its normals from `default_rng([seed, i])` at a fixed shard size,
-  and `windowed_moments` reduces the accepted trajectories of each shard
-  to moments in a reused workspace, merging shards in index order.
-- Sufficient statistics, for window-free batches. Without a window the
-  moment columns are Y = A Z + b, and `affine_map` reads (A, b) off
-  `_apply_optics` run on a zero column and the 10 basis columns. For m iid
-  draws the mean of Z is N(0, I/m), its scatter is Wishart(I, m - 1), and
-  the two are independent, so a block of m trajectories draws 10 normals
-  for the mean and a Bartlett factor of the scatter (10 chi-squares, 45
-  normals) instead of 10 m normals. A batch is its `_replicate_edges`
-  blocks, each drawn on its own and pooled into the total; the blocks are
-  drawn in one go from `default_rng(SeedSequence(seed, spawn_key=(0,)))`,
-  a key no shard stream uses. Blocks of 10 or fewer draw Z explicitly.
+- Window-free batches draw one block per `_replicate_edges` block from
+  exact sufficient statistics. For m iid draws the mean of Z is N(0, I/m),
+  its scatter is Wishart(I, m - 1), and the two are independent, so a block
+  takes 10 normals for the mean and a Bartlett factor of the scatter (10
+  chi-squares, 45 normals) instead of 10 m normals. Blocks of 10 or fewer
+  draw Z explicitly. The blocks come from
+  `default_rng(SeedSequence(seed, spawn_key=(0,)))`.
+- Heralded (windowed) batches draw Z in shards of SHARD_SIZE, shard i from
+  `default_rng([seed, i])`. Each shard's tap read-out comes from
+  `_tap_optics`, and the accepted columns of Z become the shard's block.
+
+`sample` returns the full records of the same shard draws.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,9 +69,8 @@ COLUMNS = (
 # the columns `windowed_moments` reduces; the zero-window regression also
 # needs the co-moment of each quadrature's signal with its tapped mode
 MOMENT_COLUMNS = ("x_sig", "p_sig", "x_recv", "p_recv", "x_tap_mode", "p_tap_mode")
-_MOMENT_INDEX = tuple(COLUMNS.index(name) for name in MOMENT_COLUMNS)
+_MOMENT_INDEX = [COLUMNS.index(name) for name in MOMENT_COLUMNS]
 _SIG, _TAP_MODE = [0, 1], [4, 5]
-_X_TAP, _P_TAP = COLUMNS.index("x_tap"), COLUMNS.index("p_tap")
 
 
 @dataclass(frozen=True)
@@ -101,110 +100,107 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-# -- shard kernel -------------------------------------------------------------
+# -- optics -------------------------------------------------------------------
 
 
-class _Workspace:
-    """Scratch for one shard at a time, reused across the shards of a call."""
+def _tap_optics(
+    ch: ChannelParams,
+    tap: TapConfig,
+    input_mean: tuple[float, float],
+    draws: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """The optics up to the tap read-out, on the first 8 rows of the draws.
 
-    def __init__(self, size: int = SHARD_SIZE):
-        self.draws = np.empty(NORMALS * size)  # flat, so any shard's draws are contiguous
-        self.out = np.empty((3, size))  # x_out, p_out, one temporary
-        self.dev = np.empty((len(MOMENT_COLUMNS), size))
-        self.square = np.empty(size)
-        self.keep = np.empty((2, size), dtype=bool)
+    Returns x_in, p_in, x_env, p_env (input and environment at their
+    variances), x_tm, p_tm (the tapped mode) and, last, x_tap, p_tap.
+    Heralded batches need only the read-out, so they stop here.
+    """
+    x_in, p_in, x_env, p_env, x_v1, p_v1, x_v2, p_v2 = draws[:8]
+    x_in, p_in = x_in + input_mean[0], p_in + input_mean[1]
+    s_env = np.sqrt(ch.v_env)
+    x_env, p_env = s_env * x_env, s_env * p_env
 
+    # the leaked mode, which the tap splits off
+    t, r = np.sqrt(ch.eta), np.sqrt(1.0 - ch.eta)
+    x_leak, p_leak = r * x_in - t * x_env, r * p_in - t * p_env
+    tg, rg = np.sqrt(tap.gamma), np.sqrt(1.0 - tap.gamma)
+    x_tm, p_tm = tg * x_leak + rg * x_v1, tg * p_leak + rg * p_v1
 
-def _mix(a, x, b, y, out, tmp):
-    """out = a x + b y without temporaries; out may be x or y."""
-    np.multiply(a, x, out=tmp)
-    np.multiply(b, y, out=out)
-    return np.add(tmp, out, out=out)
+    if tap.detector is Detector.HETERODYNE:
+        half = np.sqrt(0.5)
+        x_tap, p_tap = half * (x_tm + x_v2), half * (p_tm - p_v2)
+    elif tap.detector is Detector.HOMODYNE_X:
+        x_tap, p_tap = x_tm, -p_v2
+    else:
+        x_tap, p_tap = x_v2, p_tm
+    return x_in, p_in, x_env, p_env, x_tm, p_tm, x_tap, p_tap
 
 
 def _apply_optics(
-    ws: _Workspace,
     ch: ChannelParams,
     tap: TapConfig,
     input_mean: tuple[float, float],
     plan: Optional[FeedforwardPlan],
     draws: np.ndarray,
-    size: int,
 ) -> tuple[np.ndarray, ...]:
-    """Turn NORMALS x size standard normals into the COLUMNS, in place.
+    """Turn NORMALS x size standard normals into the COLUMNS.
 
     The rows of draws are x_in, p_in, x_env, p_env, x_v1, p_v1, x_v2, p_v2,
-    x_vr, p_vr; the returned columns are views into draws and ws. Each column
-    is the same floating-point expression of the same draws whichever buffer
-    holds it, so the records do not depend on the layout.
+    x_vr, p_vr. With `_tap_optics` this is the sampler's one definition of
+    the optics: `affine_map` reads (A, b) off it, and `sample` pushes every
+    trajectory through it.
     """
-    x_in, p_in, x_env, p_env, x_v1, p_v1, x_v2, p_v2, x_vr, p_vr = draws
-    x_out, p_out, tmp = (row[:size] for row in ws.out)
-    np.add(x_in, input_mean[0], out=x_in)
-    np.add(p_in, input_mean[1], out=p_in)
-    s_env = np.sqrt(ch.v_env)
-    np.multiply(s_env, x_env, out=x_env)
-    np.multiply(s_env, p_env, out=p_env)
-
+    x_in, p_in, x_env, p_env, x_tm, p_tm, x_tap, p_tap = _tap_optics(ch, tap, input_mean, draws)
     t, r = np.sqrt(ch.eta), np.sqrt(1.0 - ch.eta)
-    _mix(t, x_in, r, x_env, x_out, tmp)
-    _mix(t, p_in, r, p_env, p_out, tmp)
-    # the leaked mode r x_in - t x_env replaces the environment draws
-    x_leak = _mix(r, x_in, -t, x_env, x_env, tmp)
-    p_leak = _mix(r, p_in, -t, p_env, p_env, tmp)
-
-    tg, rg = np.sqrt(tap.gamma), np.sqrt(1.0 - tap.gamma)
-    x_tm = _mix(tg, x_leak, rg, x_v1, x_v1, tmp)
-    p_tm = _mix(tg, p_leak, rg, p_v1, p_v1, tmp)
-
-    if tap.detector is Detector.HETERODYNE:
-        half = np.sqrt(0.5)
-        x_tap = np.multiply(half, np.add(x_tm, x_v2, out=x_v2), out=x_v2)
-        p_tap = np.multiply(half, np.subtract(p_tm, p_v2, out=p_v2), out=p_v2)
-    elif tap.detector is Detector.HOMODYNE_X:
-        x_tap, p_tap = x_tm, np.negative(p_v2, out=p_v2)
-    else:
-        x_tap, p_tap = x_v2, p_tm
-
-    # the signal after feedforward stays in the x_out/p_out rows
+    x_out, p_out = t * x_in + r * x_env, t * p_in + r * p_env
+    # feedforward displaces the signal by the scaled tap read-out
     if plan is not None:
-        np.add(x_out, np.multiply(plan.g_x, x_tap, out=tmp), out=x_out)
-        np.add(p_out, np.multiply(plan.g_p, p_tap, out=tmp), out=p_out)
-
-    x_recv = np.add(x_out, x_vr, out=x_vr)
-    p_recv = np.add(p_out, p_vr, out=p_vr)
+        x_out, p_out = x_out + plan.g_x * x_tap, p_out + plan.g_p * p_tap
+    x_recv, p_recv = x_out + draws[8], p_out + draws[9]
     return x_in, p_in, x_tap, p_tap, x_recv, p_recv, x_tm, p_tm, x_out, p_out
 
 
-def _draw_shard(
-    ws: _Workspace,
+def affine_map(
     ch: ChannelParams,
     tap: TapConfig,
     input_mean: tuple[float, float],
     plan: Optional[FeedforwardPlan],
-    size: int,
-    seed: int,
-    shard_index: int,
-) -> tuple[np.ndarray, ...]:
-    """Draw one shard's normals into ws; return its COLUMNS as views into ws."""
-    draws = ws.draws[: NORMALS * size].reshape(NORMALS, size)
-    np.random.default_rng([seed, shard_index]).standard_normal(out=draws)
-    return _apply_optics(ws, ch, tap, input_mean, plan, draws, size)
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) such that one trajectory's MOMENT_COLUMNS are A Z + b.
 
-
-def _map_shards(work, n: int):
-    """Yield work(ws, shard_index, start, size) for every shard, in shard order.
-
-    Shards are made as they are consumed, and all share one workspace.
+    Z is the trajectory's NORMALS standard normals. The map is read off
+    `_apply_optics` run on a zero column (b) and the basis columns (b plus
+    a column of A), so it is the sampler's own arithmetic, not a closed form.
     """
-    ws = _Workspace()
-    for index, start in enumerate(range(0, n, SHARD_SIZE)):
-        yield work(ws, index, start, min(SHARD_SIZE, n - start))
+    draws = np.hstack([np.zeros((NORMALS, 1)), np.eye(NORMALS)])
+    cols = np.array(_apply_optics(ch, tap, input_mean, plan, draws))[_MOMENT_INDEX]
+    return cols[:, 1:] - cols[:, :1], cols[:, 0]
+
+
+# -- draws ----------------------------------------------------------------------
 
 
 def _check_n(n: int) -> None:
     if not 1 <= n <= MAX_N:
         raise ValueError("n must be in [1, 2^53]")
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """The generator every window-free batch draws from."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+
+
+def _shards(n: int, seed: int):
+    """Yield (start, Z) per shard of n trajectories, in shard order.
+
+    Z is NORMALS x size standard normals, a view into one buffer that the
+    next shard overwrites.
+    """
+    buffer = np.empty(NORMALS * SHARD_SIZE)
+    for index, start in enumerate(range(0, n, SHARD_SIZE)):
+        draws = buffer[: NORMALS * min(SHARD_SIZE, n - start)].reshape(NORMALS, -1)
+        np.random.default_rng([seed, index]).standard_normal(out=draws)
+        yield start, draws
 
 
 def sample(
@@ -219,61 +215,77 @@ def sample(
     _check_n(n)
     seed = _check_seed(seed)
     records = np.empty((n, len(COLUMNS)))
-
-    def work(ws, index, start, size):
-        cols = _draw_shard(ws, ch, tap, input_mean, plan, size, seed, index)
+    for start, draws in _shards(n, seed):
+        cols = _apply_optics(ch, tap, input_mean, plan, draws)
         for j, col in enumerate(cols):
-            records[start : start + size, j] = col
-
-    for _ in _map_shards(work, n):
-        pass
+            records[start : start + draws.shape[1], j] = col
     return TrajectoryBatch(records, seed)
 
 
-# -- moment accumulation ----------------------------------------------------
+# -- statistics of the draws ----------------------------------------------------
 
 
-def _empty():
-    return (0, np.zeros(len(MOMENT_COLUMNS)), np.zeros(len(MOMENT_COLUMNS)), np.zeros(2))
+def _reduce(z: np.ndarray):
+    """Mean and scatter of the columns of z (NORMALS x m); centres z in place."""
+    if z.shape[1] == 0:
+        return np.zeros(NORMALS), np.zeros((NORMALS, NORMALS))
+    mean = z.mean(axis=1)
+    z -= mean[:, None]
+    return mean, z @ z.T
 
 
-def _merge_moments(a, b):
-    # Welford/Chan combination of (count, mean, m2, co-moment) summaries
-    (na, ma, sa, ca), (nb, mb, sb, cb) = a, b
-    if na == 0:
-        return b
-    if nb == 0:
-        return a
-    n = na + nb
-    delta = mb - ma
-    weight = na * nb / n
-    mean = ma + delta * (nb / n)
-    m2 = sa + sb + delta * delta * weight
-    co = ca + cb + delta[_SIG] * delta[_TAP_MODE] * weight
-    return (n, mean, m2, co)
+_LOWER = np.tril_indices(NORMALS, -1)
+_NORMAL_DIAG = np.arange(NORMALS)
 
 
-def _moments(cols, ws: _Workspace):
-    """(count, mean, m2, co) of equal-length 1-D MOMENT_COLUMNS rows.
+def _normal_statistics(rng: np.random.Generator, sizes: np.ndarray):
+    """Mean (k, NORMALS) and scatter (k, NORMALS, NORMALS) of each block's draws.
 
-    Each row is reduced on its own and contiguously, so a column's mean
-    and m2 do not depend on the other columns. The rows may be ws.dev.
+    Block j holds sizes[j] iid N(0, I) vectors. When every block has more than
+    NORMALS of them, the mean is drawn as N(0, I/m) and the scatter as
+    Wishart(I, m - 1) by Bartlett decomposition, L L^T with L lower
+    triangular, L_ii^2 ~ chi^2(m - 1 - i) and N(0, 1) below the diagonal:
+    first the k means, then the k x 45 sub-diagonal normals, then the k x 10
+    chi-squares. Otherwise each block's vectors are drawn and reduced.
     """
-    count = cols[0].size
-    if count == 0:
-        return _empty()
-    mean = np.empty(len(cols))
-    m2 = np.empty(len(cols))
-    dev = ws.dev[:, :count]
-    square = ws.square[:count]
-    for i, col in enumerate(cols):
-        mean[i] = np.mean(col)
-        np.subtract(col, mean[i], out=dev[i])
-        m2[i] = np.sum(np.square(dev[i], out=square))
-    co = np.array([
-        np.sum(np.multiply(dev[s], dev[t], out=square)) for s, t in zip(_SIG, _TAP_MODE)
-    ])
-    return (count, mean, m2, co)
+    k = len(sizes)
+    if sizes.min() > NORMALS:
+        m = sizes.astype(float)
+        means = rng.standard_normal((k, NORMALS)) / np.sqrt(m)[:, None]
+        factor = np.zeros((k, NORMALS, NORMALS))
+        factor[:, _LOWER[0], _LOWER[1]] = rng.standard_normal((k, len(_LOWER[0])))
+        chi2 = rng.chisquare(m[:, None] - 1.0 - _NORMAL_DIAG)
+        factor[:, _NORMAL_DIAG, _NORMAL_DIAG] = np.sqrt(chi2)
+        return means, factor @ factor.transpose(0, 2, 1)
+    blocks = [_reduce(rng.standard_normal((m, NORMALS)).T) for m in sizes]
+    return tuple(map(np.array, zip(*blocks)))
+
+
+def _accepted_statistics(ch, tap, input_mean, window, n: int, seed: int):
+    """Counts (k,), means (k, NORMALS) and scatters of the accepted draws per shard.
+
+    A trajectory is accepted when its tap read-out, the same values `sample`
+    records, lies in the box window. The kept columns of Z go to one reused
+    buffer.
+    """
+    x_th, p_th = float(window[0]), float(window[1])
+    kept = np.empty(NORMALS * SHARD_SIZE)
+    blocks = []
+    for _, draws in _shards(n, seed):
+        x_tap, p_tap = _tap_optics(ch, tap, input_mean, draws)[-2:]
+        keep = (np.abs(x_tap) <= x_th) & (np.abs(p_tap) <= p_th)
+        m = int(np.count_nonzero(keep))
+        z = np.compress(keep, draws, axis=1, out=kept[: NORMALS * m].reshape(NORMALS, m))
+        blocks.append((m, *_reduce(z)))
+    return tuple(map(np.array, zip(*blocks)))
+
+
+def _pool(counts: np.ndarray, means: np.ndarray, scatters: np.ndarray):
+    """(count, mean, scatter) of the union of blocks: the Chan merge in one step."""
+    n = int(counts.sum())
+    mean = counts @ means / max(n, 1)
+    dev = means - mean
+    return n, mean, scatters.sum(axis=0) + (dev.T * counts) @ dev
 
 
 def _replicate_edges(n: int) -> list[int]:
@@ -322,116 +334,32 @@ def windowed_moments(
 ) -> Moments:
     """Moments of the MOMENT_COLUMNS over n trajectories.
 
-    window is None to accept every trajectory, drawn from sufficient
-    statistics, or (x_th, p_th) to accept those with |x_tap| <= x_th and
-    |p_tap| <= p_th, streamed as trajectories in shards with the draws of
-    `sample`. plan applies feedforward to the signal. replicates (window
-    None only) also keeps the blocks that `estimate_zero_window` takes its
-    stderr from. Raises ValueError on non-finite moments.
+    window is None to accept every trajectory, or (x_th, p_th) to accept
+    those with |x_tap| <= x_th and |p_tap| <= p_th. plan applies feedforward
+    to the signal. replicates (window None only) also keeps the blocks that
+    `estimate_zero_window` takes its stderr from. Raises ValueError on
+    non-finite moments.
+
+    Both kinds of batch yield blocks of (count, mean of Z, scatter of Z):
+    window-free batches draw one per `_replicate_edges` block from exact
+    sufficient statistics, heralded batches reduce the accepted draws of each
+    shard. The blocks are pooled, and the total (with replicates, each block
+    too) is mapped once through `affine_map`.
     """
     _check_n(n)
     seed = _check_seed(seed)
-    blocks = []
     if window is None:
-        total, *blocks = _sufficient_moments(ch, tap, input_mean, plan, n, seed, replicates)
+        counts = np.diff(_replicate_edges(n))
+        means, scatters = _normal_statistics(_generator(seed), counts)
     elif replicates:
         raise ValueError("zero-window replicates need every trajectory (window=None)")
     else:
-        x_th, p_th = float(window[0]), float(window[1])
-
-        def work(ws, index, start, size):
-            cols = _draw_shard(ws, ch, tap, input_mean, plan, size, seed, index)
-            keep, scratch = ws.keep[0, :size], ws.keep[1, :size]
-            tmp = ws.out[2, :size]
-            np.less_equal(np.abs(cols[_X_TAP], out=tmp), x_th, out=keep)
-            np.less_equal(np.abs(cols[_P_TAP], out=tmp), p_th, out=scratch)
-            np.logical_and(keep, scratch, out=keep)
-            m = int(np.count_nonzero(keep))
-            kept = [
-                np.compress(keep, cols[i], out=row[:m]) for i, row in zip(_MOMENT_INDEX, ws.dev)
-            ]
-            return _moments(kept, ws)
-
-        total = functools.reduce(_merge_moments, _map_shards(work, n), _empty())
-    count, mean, m2, co = total
-    if not all(np.all(np.isfinite(values)) for values in (mean, m2, co)):
-        raise ValueError("trajectory moments must be finite")
-    return Moments(n, count, mean, m2, co, tuple(blocks))
-
-
-# -- sufficient statistics ------------------------------------------------------
-
-
-def affine_map(
-    ch: ChannelParams,
-    tap: TapConfig,
-    input_mean: tuple[float, float],
-    plan: Optional[FeedforwardPlan],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) such that one trajectory's MOMENT_COLUMNS are A Z + b.
-
-    Z is the trajectory's NORMALS standard normals. The map is read off
-    `_apply_optics` run on a zero column (b) and the basis columns (b plus
-    a column of A), so it is the sampler's own arithmetic, not a closed form.
-    """
-    size = NORMALS + 1
-    draws = np.hstack([np.zeros((NORMALS, 1)), np.eye(NORMALS)])
-    cols = _apply_optics(_Workspace(size), ch, tap, input_mean, plan, draws, size)
-    out = np.array([cols[i] for i in _MOMENT_INDEX])
-    return out[:, 1:] - out[:, :1], out[:, 0]
-
-
-_LOWER = np.tril_indices(NORMALS, -1)
-_NORMAL_DIAG = np.arange(NORMALS)
-
-
-def _normal_statistics(rng: np.random.Generator, sizes: np.ndarray):
-    """Mean (k, NORMALS) and scatter (k, NORMALS, NORMALS) of each block's draws.
-
-    Block j holds sizes[j] iid N(0, I) vectors. When every block has more than
-    NORMALS of them, the mean is drawn as N(0, I/m) and the scatter as
-    Wishart(I, m - 1) by Bartlett decomposition, L L^T with L lower
-    triangular, L_ii^2 ~ chi^2(m - 1 - i) and N(0, 1) below the diagonal:
-    first the k means, then the k x 45 sub-diagonal normals, then the k x 10
-    chi-squares. Otherwise each block's vectors are drawn and reduced.
-    """
-    k = len(sizes)
-    if sizes.min() > NORMALS:
-        m = sizes.astype(float)
-        means = rng.standard_normal((k, NORMALS)) / np.sqrt(m)[:, None]
-        factor = np.zeros((k, NORMALS, NORMALS))
-        factor[:, _LOWER[0], _LOWER[1]] = rng.standard_normal((k, len(_LOWER[0])))
-        chi2 = rng.chisquare(m[:, None] - 1.0 - _NORMAL_DIAG)
-        factor[:, _NORMAL_DIAG, _NORMAL_DIAG] = np.sqrt(chi2)
-        return means, factor @ factor.transpose(0, 2, 1)
-    means = np.zeros((k, NORMALS))
-    scatters = np.zeros((k, NORMALS, NORMALS))
-    for j, m in enumerate(sizes):
-        if m:
-            z = rng.standard_normal((m, NORMALS))
-            means[j] = z.mean(axis=0)
-            dev = z - means[j]
-            scatters[j] = dev.T @ dev
-    return means, scatters
-
-
-def _sufficient_moments(ch, tap, input_mean, plan, n: int, seed: int, replicates: bool):
-    """(count, mean, m2, co) of a window-free batch, then of its blocks if replicates.
-
-    The batch's statistics pool its `_replicate_edges` blocks, so the total
-    does not depend on replicates.
-    """
-    sizes = np.diff(_replicate_edges(n))
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    means, scatters = _normal_statistics(rng, sizes)
-    # the pooled mean and scatter: the merge `_merge_moments` makes, in one step
-    mean = sizes @ means / n
-    dev = means - mean
-    counts = [n]
-    z_mean = mean[None]
-    z_scatter = (scatters.sum(axis=0) + (dev.T * sizes) @ dev)[None]
+        counts, means, scatters = _accepted_statistics(ch, tap, input_mean, window, n, seed)
+    count, mean, scatter = _pool(counts, means, scatters)
+    sizes = [count]
+    z_mean, z_scatter = mean[None], scatter[None]
     if replicates:
-        counts += sizes.tolist()
+        sizes += counts.tolist()
         z_mean = np.concatenate([z_mean, means])
         z_scatter = np.concatenate([z_scatter, scatters])
     a, b = affine_map(ch, tap, input_mean, plan)
@@ -439,7 +367,10 @@ def _sufficient_moments(ch, tap, input_mean, plan, n: int, seed: int, replicates
     y_scatter = a @ z_scatter @ a.T
     m2 = np.diagonal(y_scatter, axis1=1, axis2=2)
     co = y_scatter[:, _SIG, _TAP_MODE]
-    return [(count, y_mean[j], m2[j], co[j]) for j, count in enumerate(counts)]
+    if not all(np.all(np.isfinite(values)) for values in (y_mean, m2, co)):
+        raise ValueError("trajectory moments must be finite")
+    total, *blocks = [(size, y_mean[j], m2[j], co[j]) for j, size in enumerate(sizes)]
+    return Moments(n, *total, tuple(blocks))
 
 
 # -- estimators ---------------------------------------------------------------
