@@ -1,7 +1,7 @@
 """Environmental-assisted correction of continuous-variable Gaussian channels."""
 
 from .channel import ChannelParams, Detector, TapConfig
-from .feedforward import FeedforwardPlan, Strategy
+from .feedforward import FeedforwardPlan
 from .herald import HeraldNoYieldError, HeraldWindow
 from .montecarlo import TrajectoryBatch
 from .qkd import Attack, Detection, Direction, EffectiveChannel, KeyRateReport
@@ -19,7 +19,6 @@ __all__ = [
     "HeraldNoYieldError",
     "HeraldWindow",
     "KeyRateReport",
-    "Strategy",
     "TapConfig",
     "TrajectoryBatch",
 ]

@@ -8,7 +8,6 @@ gain instead minimizes the added noise of the output state.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -18,17 +17,10 @@ from .channel import ChannelParams, Detector, TapConfig
 MIN_ERASING_GAMMA = 1e-6
 
 
-class Strategy(enum.Enum):
-    ERASING_HOMODYNE = "erasing-homodyne"
-    ERASING_HETERODYNE = "erasing-heterodyne"
-    OPTIMAL_HETERODYNE = "optimal-heterodyne"
-
-
 @dataclass(frozen=True)
 class FeedforwardPlan:
     """Electronic gains per quadrature and the resulting optical power gain."""
 
-    strategy: Strategy
     g_x: float
     g_p: float
     optical_gain: float
@@ -50,7 +42,7 @@ def plan_erasing_homodyne(ch: ChannelParams, tap: TapConfig) -> FeedforwardPlan:
         raise ValueError("gamma too small for an erasing plan")
     g = math.sqrt((1.0 - ch.eta) / (tap.gamma * ch.eta))
     g_x, g_p = (g, 0.0) if tap.detector is Detector.HOMODYNE_X else (0.0, g)
-    return FeedforwardPlan(Strategy.ERASING_HOMODYNE, g_x, g_p, 1.0 / ch.eta)
+    return FeedforwardPlan(g_x, g_p, 1.0 / ch.eta)
 
 
 def plan_erasing_heterodyne(ch: ChannelParams, tap: TapConfig) -> FeedforwardPlan:
@@ -59,7 +51,7 @@ def plan_erasing_heterodyne(ch: ChannelParams, tap: TapConfig) -> FeedforwardPla
     if tap.gamma < MIN_ERASING_GAMMA:
         raise ValueError("gamma too small for an erasing plan")
     g = math.sqrt(2.0 * (1.0 - ch.eta) / (tap.gamma * ch.eta))
-    return FeedforwardPlan(Strategy.ERASING_HETERODYNE, g, g, 1.0 / ch.eta)
+    return FeedforwardPlan(g, g, 1.0 / ch.eta)
 
 
 def plan_optimal_heterodyne(ch: ChannelParams, tap: TapConfig) -> FeedforwardPlan:
@@ -72,7 +64,7 @@ def plan_optimal_heterodyne(ch: ChannelParams, tap: TapConfig) -> FeedforwardPla
     gain = ((2.0 - gamma) * eta + gamma * v) ** 2 / (
         eta * (2.0 - gamma + gamma * v) ** 2
     )
-    return FeedforwardPlan(Strategy.OPTIMAL_HETERODYNE, g, g, gain)
+    return FeedforwardPlan(g, g, gain)
 
 
 def added_noise_hom_ff(ch: ChannelParams, tap: TapConfig) -> float:

@@ -7,7 +7,6 @@ from envcorr import montecarlo
 from envcorr.channel import ChannelParams, Detector, TapConfig
 from envcorr.feedforward import (
     FeedforwardPlan,
-    Strategy,
     added_noise_het_state,
     added_noise_hom_ff,
     improvement_conditions,
@@ -98,7 +97,7 @@ class TestPlans:
 
     def test_plan_invariants(self):
         with pytest.raises(ValueError):
-            FeedforwardPlan(Strategy.ERASING_HETERODYNE, -0.1, 0.1, 2.0)
+            FeedforwardPlan(-0.1, 0.1, 2.0)
 
 
 class TestNoiseFormulas:
