@@ -3,11 +3,12 @@
 Each case is one `envcorr` command at n = 10^4 with a fixed seed. A change
 that leaves the random streams alone must keep every CSV byte-identical; the
 9 significant digits of the CSV hide last-ulp noise. When a change moves a
-stream on purpose, regenerate the affected files with
+stream on purpose, regenerate only the files whose streams moved with
 
-    PYTHONPATH=src python tests/test_golden.py [outdir]
+    PYTHONPATH=src python tests/test_golden.py [outdir] [stem ...]
 
-(default outdir: tests/golden) and say in CHANGES.md which streams changed.
+(default outdir: tests/golden; default stems: all 12, e.g. fig5 run_herald)
+and say in CHANGES.md which streams changed.
 """
 
 import json
@@ -87,7 +88,11 @@ if __name__ == "__main__":
     import tempfile
 
     target = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN
+    stems = sys.argv[2:] or STEMS
+    unknown = sorted(set(stems) - set(STEMS))
+    if unknown:
+        sys.exit(f"unknown stems {unknown}; choose from {list(STEMS)}")
     target.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
-        for stem in STEMS:
+        for stem in stems:
             (target / f"{stem}.csv").write_bytes(produce(Path(scratch), stem))
