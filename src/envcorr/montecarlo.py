@@ -28,13 +28,14 @@ Z), which are pooled and mapped once through (A, b).
   its scatter is Wishart(I, m - 1), and the two are independent, so a block
   takes 10 normals for the mean and a Bartlett factor of the scatter (10
   chi-squares, 45 normals) instead of 10 m normals. Blocks of 10 or fewer
-  draw Z explicitly. The blocks come from
-  `default_rng(SeedSequence(seed, spawn_key=(0,)))`.
-- Heralded (windowed) batches draw Z in shards of SHARD_SIZE, shard i from
-  `default_rng([seed, i])`. Each shard's tap read-out comes from
-  `_tap_optics`, and the accepted columns of Z become the shard's block.
+  draw Z explicitly.
+- Heralded (windowed) batches draw Z in shards of SHARD_SIZE. Each shard's
+  tap read-out comes from `_tap_optics`, and the accepted columns of Z
+  become the shard's block.
 
-`sample` returns the full records of the same shard draws.
+`sample` returns the full records of the same shard draws. Every draw of a
+batch comes from one generator, `default_rng(SeedSequence(seed,
+spawn_key=(0,)))`, shard after shard.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def _check_n(n: int) -> None:
 
 
 def _generator(seed: int) -> np.random.Generator:
-    """The generator every window-free batch draws from."""
+    """The one generator all of a batch's draws come from."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
@@ -194,12 +195,14 @@ def _shards(n: int, seed: int):
     """Yield (start, Z) per shard of n trajectories, in shard order.
 
     Z is NORMALS x size standard normals, a view into one buffer that the
-    next shard overwrites.
+    next shard overwrites; the shards draw one after another from the
+    batch's generator.
     """
+    rng = _generator(seed)
     buffer = np.empty(NORMALS * SHARD_SIZE)
-    for index, start in enumerate(range(0, n, SHARD_SIZE)):
+    for start in range(0, n, SHARD_SIZE):
         draws = buffer[: NORMALS * min(SHARD_SIZE, n - start)].reshape(NORMALS, -1)
-        np.random.default_rng([seed, index]).standard_normal(out=draws)
+        rng.standard_normal(out=draws)
         yield start, draws
 
 

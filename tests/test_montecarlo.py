@@ -63,9 +63,15 @@ class TestSampler:
         b = sample(CH, het(0.5), (0.0, 0.0), None, 10_000, 2)
         assert a.records.tobytes() != b.records.tobytes()
 
+    def test_shard_streams_do_not_alias_across_seeds(self):
+        # numpy splits seeds of 2^32 and more into 32-bit words, so per-shard
+        # keys [seed, i] made shard 3 of seed 5 equal shard 0 of 5 + 3 * 2^32
+        late = sample(CH, het(0.5), (0.0, 0.0), None, 4 * SHARD_SIZE, 5).records
+        early = sample(CH, het(0.5), (0.0, 0.0), None, SHARD_SIZE, 5 + 3 * 2**32).records
+        assert late[3 * SHARD_SIZE :].tobytes() != early.tobytes()
+
     def test_normal_generator_quality(self):
-        rng = np.random.default_rng([1234, 0])
-        draws = rng.standard_normal(100_000)
+        draws = montecarlo._generator(1234).standard_normal(100_000)
         assert scipy_stats.kstest(draws, "norm").pvalue > 0.001
 
     def test_coherent_input_variance(self):
