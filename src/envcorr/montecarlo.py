@@ -17,25 +17,23 @@ Record columns, in order:
                       receiver detector
 
 Each trajectory is 10 standard normals Z pushed through `_apply_optics`.
-The estimators need only the count, mean and scatter of the MOMENT_COLUMNS.
-Those columns are Y = A Z + b, and `affine_map` reads (A, b) off
-`_apply_optics` run on a zero column and the 10 basis columns. So every
-batch is reduced the same way: to blocks of (count, mean of Z, scatter of
-Z), which are pooled and mapped once through (A, b).
+The estimators need only the count, mean and scatter of the MOMENT_COLUMNS,
+which are Y = A Z + b; `affine_map` reads (A, b) off `_apply_optics`. So
+every batch is reduced to blocks of (count, mean of Z, scatter of Z), which
+are pooled and mapped once through (A, b).
 
 - Window-free batches draw one block per `_replicate_edges` block from
-  exact sufficient statistics. For m iid draws the mean of Z is N(0, I/m),
-  its scatter is Wishart(I, m - 1), and the two are independent, so a block
-  takes 10 normals for the mean and a Bartlett factor of the scatter (10
+  exact sufficient statistics. For m iid draws the mean of Z is N(0, I/m)
+  and, independently, its scatter is Wishart(I, m - 1), so a block takes 10
+  normals for the mean and a Bartlett factor of the scatter (10
   chi-squares, 45 normals) instead of 10 m normals. Blocks of 10 or fewer
   draw Z explicitly.
 - Heralded (windowed) batches draw Z in shards of SHARD_SIZE. Each shard's
-  tap read-out comes from `_tap_optics`, and the accepted columns of Z
-  become the shard's block.
+  tap read-out comes from `_tap_optics`, and its accepted columns of Z
+  become the shard's block. `sample` returns the records of the same draws.
 
-`sample` returns the full records of the same shard draws. Every draw of a
-batch comes from one generator, `default_rng(SeedSequence(seed,
-spawn_key=(0,)))`, shard after shard.
+Every draw of a batch comes from one generator,
+`default_rng(SeedSequence(seed, spawn_key=(0,)))`, shard after shard.
 """
 
 from __future__ import annotations
@@ -268,18 +266,20 @@ def _accepted_statistics(ch, tap, input_mean, window, n: int, seed: int):
     """Counts (k,), means (k, NORMALS) and scatters of the accepted draws per shard.
 
     A trajectory is accepted when its tap read-out, the same values `sample`
-    records, lies in the box window. The kept columns of Z go to one reused
-    buffer.
+    records, lies in the box window. The kept columns of Z are compacted to
+    the front of the shard's own buffer, so no second buffer is held.
     """
     x_th, p_th = float(window[0]), float(window[1])
-    kept = np.empty(NORMALS * SHARD_SIZE)
     blocks = []
     for _, draws in _shards(n, seed):
         x_tap, p_tap = _tap_optics(ch, tap, input_mean, draws)[-2:]
         keep = (np.abs(x_tap) <= x_th) & (np.abs(p_tap) <= p_th)
         m = int(np.count_nonzero(keep))
-        z = np.compress(keep, draws, axis=1, out=kept[: NORMALS * m].reshape(NORMALS, m))
-        blocks.append((m, *_reduce(z)))
+        flat = draws.reshape(-1)
+        # row i's kept values end before row i + 1 starts: no row is overwritten unread
+        for i, row in enumerate(draws):
+            flat[i * m : (i + 1) * m] = np.compress(keep, row)
+        blocks.append((m, *_reduce(flat[: NORMALS * m].reshape(NORMALS, m))))
     return tuple(map(np.array, zip(*blocks)))
 
 
