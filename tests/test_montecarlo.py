@@ -65,7 +65,7 @@ class TestSampler:
 
     def test_shard_streams_do_not_alias_across_seeds(self):
         # numpy splits seeds of 2^32 and more into 32-bit words, so per-shard
-        # keys [seed, i] made shard 3 of seed 5 equal shard 0 of 5 + 3 * 2^32
+        # keys [seed, i] would make shard 3 of seed 5 equal shard 0 of 5 + 3 * 2^32
         late = sample(CH, het(0.5), (0.0, 0.0), None, 4 * SHARD_SIZE, 5).records
         early = sample(CH, het(0.5), (0.0, 0.0), None, SHARD_SIZE, 5 + 3 * 2**32).records
         assert late[3 * SHARD_SIZE :].tobytes() != early.tobytes()
