@@ -265,9 +265,9 @@ def _normal_statistics(rng: np.random.Generator, sizes: np.ndarray):
 def _accepted_statistics(ch, tap, input_mean, window, n: int, seed: int):
     """Counts (k,), means (k, NORMALS) and scatters of the accepted draws per shard.
 
-    A trajectory is accepted when its tap read-out, the same values `sample`
-    records, lies in the box window. The kept columns of Z are compacted to
-    the front of the shard's own buffer, so no second buffer is held.
+    A trajectory is accepted when its tap read-out, as `sample` records it,
+    lies in the box window. The kept columns of Z are compacted in the shard's
+    own buffer, and every 64 blocks are pooled into one to bound the memory.
     """
     x_th, p_th = float(window[0]), float(window[1])
     blocks = []
@@ -280,6 +280,8 @@ def _accepted_statistics(ch, tap, input_mean, window, n: int, seed: int):
         for i, row in enumerate(draws):
             flat[i * m : (i + 1) * m] = np.compress(keep, row)
         blocks.append((m, *_reduce(flat[: NORMALS * m].reshape(NORMALS, m))))
+        if len(blocks) == 64:
+            blocks = [_pool(*map(np.array, zip(*blocks)))]
     return tuple(map(np.array, zip(*blocks)))
 
 
@@ -359,12 +361,11 @@ def windowed_moments(
     else:
         counts, means, scatters = _accepted_statistics(ch, tap, input_mean, window, n, seed)
     count, mean, scatter = _pool(counts, means, scatters)
-    sizes = [count]
-    z_mean, z_scatter = mean[None], scatter[None]
-    if replicates:
-        sizes += counts.tolist()
-        z_mean = np.concatenate([z_mean, means])
-        z_scatter = np.concatenate([z_scatter, scatters])
+    if not replicates:
+        counts, means, scatters = counts[:0], means[:0], scatters[:0]
+    sizes = [count, *counts.tolist()]
+    z_mean = np.concatenate([mean[None], means])
+    z_scatter = np.concatenate([scatter[None], scatters])
     a, b = affine_map(ch, tap, input_mean, plan)
     y_mean = z_mean @ a.T + b
     y_scatter = a @ z_scatter @ a.T

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,27 @@ class TestMomentKernel:
             # the kernel maps moments of the draws, not of the records
             assert got_mean == pytest.approx(mean, rel=1e-12)
             assert got_var == pytest.approx(m2 / (count - 1), rel=1e-12)
+
+    def test_many_shards_pool_in_bounded_memory(self, monkeypatch):
+        # 2001 shards of 16: the shard blocks are pooled every 64, so the
+        # moments stay those of the records and the memory held stays flat
+        monkeypatch.setattr(montecarlo, "SHARD_SIZE", 16)
+        n, tap, window = 16 * 2000 + 5, het(0.7), (1.5, 2.0)
+        batch = sample(CH, tap, (3.0, -2.0), None, n, 29)
+        keep = (np.abs(batch.column("x_tap")) <= 1.5) & (np.abs(batch.column("p_tap")) <= 2.0)
+        tracemalloc.start()
+        try:
+            out = windowed_moments(CH, tap, (3.0, -2.0), window, n, 29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        for name in MOMENT_COLUMNS:
+            col = batch.column(name)[keep]
+            count, mean, var = out.column(name)
+            assert count == col.size
+            assert mean == pytest.approx(np.mean(col), rel=1e-12)
+            assert var == pytest.approx(np.var(col, ddof=1), rel=1e-12)
 
     def test_zero_window_matches_record_regression(self):
         tap, mean_in, n = het(0.6), (10.0, 10.0), 100_000
