@@ -263,7 +263,7 @@ def _normal_statistics(rng: np.random.Generator, sizes: np.ndarray):
 
 
 def _accepted_statistics(ch, tap, input_mean, window, n: int, seed: int):
-    """Counts (k,), means (k, NORMALS) and scatters of the accepted draws per shard.
+    """Counts (k,), means (k, NORMALS) and scatters of blocks of the accepted draws.
 
     A trajectory is accepted when its tap read-out, as `sample` records it,
     lies in the box window. The kept columns of Z are compacted in the shard's
