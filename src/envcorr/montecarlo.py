@@ -273,12 +273,12 @@ def _accepted_statistics(ch, tap, input_mean, window, n: int, seed: int):
     blocks = []
     for _, draws in _shards(n, seed):
         x_tap, p_tap = _tap_optics(ch, tap, input_mean, draws)[-2:]
-        keep = (np.abs(x_tap) <= x_th) & (np.abs(p_tap) <= p_th)
-        m = int(np.count_nonzero(keep))
+        kept = np.flatnonzero((np.abs(x_tap) <= x_th) & (np.abs(p_tap) <= p_th))
+        m = kept.size
         flat = draws.reshape(-1)
         # row i's kept values end before row i + 1 starts: no row is overwritten unread
         for i, row in enumerate(draws):
-            flat[i * m : (i + 1) * m] = np.compress(keep, row)
+            flat[i * m : (i + 1) * m] = row[kept]
         blocks.append((m, *_reduce(flat[: NORMALS * m].reshape(NORMALS, m))))
         if len(blocks) == 64:
             blocks = [_pool(*map(np.array, zip(*blocks)))]
