@@ -149,6 +149,11 @@ def parse_config(raw: dict) -> dict:
     strategy = raw.get("strategy", "none")
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy: must be one of {tuple(STRATEGIES)}")
+    if strategy == "herald" and tap.detector is not Detector.HETERODYNE:
+        raise ConfigError(
+            "tap.detector: strategy 'herald' post-selects both tap quadratures, "
+            "so it needs 'heterodyne'"
+        )
 
     window = None
     if "window" in raw:

@@ -19,8 +19,8 @@ Record columns, in order:
 Each trajectory is 10 standard normals Z pushed through `_apply_optics`.
 The estimators need only the count, mean and scatter of the MOMENT_COLUMNS,
 which are Y = A Z + b; `affine_map` reads (A, b) off `_apply_optics`. So
-every batch is reduced to blocks of (count, mean of Z, scatter of Z), which
-are pooled and mapped once through (A, b).
+every batch is reduced to one or more blocks of (count, mean of Z, scatter
+of Z), which are pooled and mapped once through (A, b).
 
 - Window-free batches draw one block per `_replicate_edges` block from
   exact sufficient statistics. For m iid draws the mean of Z is N(0, I/m)
@@ -28,9 +28,15 @@ are pooled and mapped once through (A, b).
   normals for the mean and a Bartlett factor of the scatter (10
   chi-squares, 45 normals) instead of 10 m normals. Blocks of 10 or fewer
   draw Z explicitly.
-- Heralded (windowed) batches draw Z in shards of SHARD_SIZE. Each shard's
-  tap read-out comes from `_tap_optics`, and its accepted columns of Z
-  become the shard's block. `sample` returns the records of the same draws.
+- Heralded (windowed) batches draw 2 normals per trajectory. The tap
+  read-out t = T Z + c is read off `_apply_optics` like (A, b). With
+  Q R = T^T (complete QR), u = Q[:, :2]^T Z ~ N(0, I2) fixes t = R[:2]^T u
+  + c, and w = Q[:, 2:]^T Z ~ N(0, I8) is independent of u. Shards draw u,
+  window t and sum the accepted u: count m, mean, centred scatter S = F F^T
+  (F over the k positive eigenvalues of S). The accepted w then have mean
+  N(0, I8/m), cross scatter with u F H (H: k x 8 standard normals) and
+  scatter H^T H + Wishart(I8, m - 1 - k). Rotated back by Q, that is the
+  batch's one block.
 
 Every draw of a batch comes from one generator,
 `default_rng(SeedSequence(seed, spawn_key=(0,)))`, shard after shard.
@@ -69,7 +75,10 @@ COLUMNS = (
 # needs the co-moment of each quadrature's signal with its tapped mode
 MOMENT_COLUMNS = ("x_sig", "p_sig", "x_recv", "p_recv", "x_tap_mode", "p_tap_mode")
 _MOMENT_INDEX = [COLUMNS.index(name) for name in MOMENT_COLUMNS]
+_TAP_INDEX = [COLUMNS.index("x_tap"), COLUMNS.index("p_tap")]
 _SIG, _TAP_MODE = [0, 1], [4, 5]
+# Bartlett factor indices (sub-diagonal, diagonal) of the dimensions drawn: Z and w
+_BARTLETT = {dim: (np.tril_indices(dim, -1), np.arange(dim)) for dim in (NORMALS, NORMALS - 2)}
 
 
 @dataclass(frozen=True)
@@ -102,19 +111,21 @@ def _check_seed(seed: int) -> int:
 # -- optics -------------------------------------------------------------------
 
 
-def _tap_optics(
+def _apply_optics(
     ch: ChannelParams,
     tap: TapConfig,
     input_mean: tuple[float, float],
+    plan: Optional[FeedforwardPlan],
     draws: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
-    """The optics up to the tap read-out, on the first 8 rows of the draws.
+    """Turn NORMALS x size standard normals into the COLUMNS.
 
-    Returns x_in, p_in, x_env, p_env (input and environment at their
-    variances), x_tm, p_tm (the tapped mode) and, last, x_tap, p_tap.
-    Heralded batches need only the read-out, so they stop here.
+    The rows of draws are x_in, p_in, x_env, p_env, x_v1, p_v1, x_v2, p_v2,
+    x_vr, p_vr. This is the sampler's one definition of the optics:
+    `affine_map` and the tap frame read their maps off it, and `sample`
+    pushes every trajectory through it.
     """
-    x_in, p_in, x_env, p_env, x_v1, p_v1, x_v2, p_v2 = draws[:8]
+    x_in, p_in, x_env, p_env, x_v1, p_v1, x_v2, p_v2, x_vr, p_vr = draws
     x_in, p_in = x_in + input_mean[0], p_in + input_mean[1]
     s_env = np.sqrt(ch.v_env)
     x_env, p_env = s_env * x_env, s_env * p_env
@@ -132,31 +143,23 @@ def _tap_optics(
         x_tap, p_tap = x_tm, -p_v2
     else:
         x_tap, p_tap = x_v2, p_tm
-    return x_in, p_in, x_env, p_env, x_tm, p_tm, x_tap, p_tap
 
-
-def _apply_optics(
-    ch: ChannelParams,
-    tap: TapConfig,
-    input_mean: tuple[float, float],
-    plan: Optional[FeedforwardPlan],
-    draws: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """Turn NORMALS x size standard normals into the COLUMNS.
-
-    The rows of draws are x_in, p_in, x_env, p_env, x_v1, p_v1, x_v2, p_v2,
-    x_vr, p_vr. With `_tap_optics` this is the sampler's one definition of
-    the optics: `affine_map` reads (A, b) off it, and `sample` pushes every
-    trajectory through it.
-    """
-    x_in, p_in, x_env, p_env, x_tm, p_tm, x_tap, p_tap = _tap_optics(ch, tap, input_mean, draws)
-    t, r = np.sqrt(ch.eta), np.sqrt(1.0 - ch.eta)
     x_out, p_out = t * x_in + r * x_env, t * p_in + r * p_env
     # feedforward displaces the signal by the scaled tap read-out
     if plan is not None:
         x_out, p_out = x_out + plan.g_x * x_tap, p_out + plan.g_p * p_tap
-    x_recv, p_recv = x_out + draws[8], p_out + draws[9]
+    x_recv, p_recv = x_out + x_vr, p_out + p_vr
     return x_in, p_in, x_tap, p_tap, x_recv, p_recv, x_tm, p_tm, x_out, p_out
+
+
+def _read_map(ch, tap, input_mean, plan, rows):
+    """(A, b) such that the given rows of `_apply_optics` are A Z + b.
+
+    Read off `_apply_optics` on a zero column (b) and the basis columns (b + A).
+    """
+    draws = np.hstack([np.zeros((NORMALS, 1)), np.eye(NORMALS)])
+    cols = np.array(_apply_optics(ch, tap, input_mean, plan, draws))[rows]
+    return cols[:, 1:] - cols[:, :1], cols[:, 0]
 
 
 def affine_map(
@@ -165,15 +168,26 @@ def affine_map(
     input_mean: tuple[float, float],
     plan: Optional[FeedforwardPlan],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) such that one trajectory's MOMENT_COLUMNS are A Z + b.
+    """(A, b) such that a trajectory's MOMENT_COLUMNS are A Z + b (see `_read_map`)."""
+    return _read_map(ch, tap, input_mean, plan, _MOMENT_INDEX)
 
-    Z is the trajectory's NORMALS standard normals. The map is read off
-    `_apply_optics` run on a zero column (b) and the basis columns (b plus
-    a column of A), so it is the sampler's own arithmetic, not a closed form.
+
+def _tap_frame(ch: ChannelParams, tap: TapConfig, input_mean: tuple[float, float]):
+    """(Q, L, u0): the tap read-out of Z is L (u - u0) with u = Q[:, :2]^T Z.
+
+    Q L^T is the complete QR of T^T (t = T Z + c), and u0 the window centre
+    t = 0. T has rank 2 for every detector: x_tap draws only on x-quadrature
+    normals, p_tap only on p-quadrature ones, and neither row vanishes.
     """
-    draws = np.hstack([np.zeros((NORMALS, 1)), np.eye(NORMALS)])
-    cols = np.array(_apply_optics(ch, tap, input_mean, plan, draws))[_MOMENT_INDEX]
-    return cols[:, 1:] - cols[:, :1], cols[:, 0]
+    t_map, c = _read_map(ch, tap, input_mean, None, _TAP_INDEX)
+    q, r = np.linalg.qr(t_map.T, mode="complete")
+    lower = r[:2].T
+    return q, lower, np.linalg.solve(lower, -c)
+
+
+def _readout(lower: np.ndarray, d: np.ndarray):
+    """Tap read-out (x, p) = L d of the offsets d = u - u0 (2 x size)."""
+    return lower[0, 0] * d[0], lower[1, 0] * d[0] + lower[1, 1] * d[1]
 
 
 # -- draws ----------------------------------------------------------------------
@@ -189,17 +203,15 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
-def _shards(n: int, seed: int):
-    """Yield (start, Z) per shard of n trajectories, in shard order.
+def _shards(rng: np.random.Generator, n: int, rows: int):
+    """Yield (start, draws) per shard of n trajectories, in shard order.
 
-    Z is NORMALS x size standard normals, a view into one buffer that the
-    next shard overwrites; the shards draw one after another from the
-    batch's generator.
+    draws is rows x size standard normals from rng, a view into one buffer
+    that the next shard overwrites.
     """
-    rng = _generator(seed)
-    buffer = np.empty(NORMALS * SHARD_SIZE)
+    buffer = np.empty(rows * SHARD_SIZE)
     for start in range(0, n, SHARD_SIZE):
-        draws = buffer[: NORMALS * min(SHARD_SIZE, n - start)].reshape(NORMALS, -1)
+        draws = buffer[: rows * min(SHARD_SIZE, n - start)].reshape(rows, -1)
         rng.standard_normal(out=draws)
         yield start, draws
 
@@ -216,7 +228,7 @@ def sample(
     _check_n(n)
     seed = _check_seed(seed)
     records = np.empty((n, len(COLUMNS)))
-    for start, draws in _shards(n, seed):
+    for start, draws in _shards(_generator(seed), n, NORMALS):
         cols = _apply_optics(ch, tap, input_mean, plan, draws)
         for j, col in enumerate(cols):
             records[start : start + draws.shape[1], j] = col
@@ -226,63 +238,67 @@ def sample(
 # -- statistics of the draws ----------------------------------------------------
 
 
-def _reduce(z: np.ndarray):
-    """Mean and scatter of the columns of z (NORMALS x m); centres z in place."""
-    if z.shape[1] == 0:
-        return np.zeros(NORMALS), np.zeros((NORMALS, NORMALS))
-    mean = z.mean(axis=1)
-    z -= mean[:, None]
-    return mean, z @ z.T
+def _normal_statistics(rng: np.random.Generator, sizes: np.ndarray, dim: int):
+    """Mean (k, dim) and scatter (k, dim, dim) of each block's draws.
 
-
-_LOWER = np.tril_indices(NORMALS, -1)
-_NORMAL_DIAG = np.arange(NORMALS)
-
-
-def _normal_statistics(rng: np.random.Generator, sizes: np.ndarray):
-    """Mean (k, NORMALS) and scatter (k, NORMALS, NORMALS) of each block's draws.
-
-    Block j holds sizes[j] iid N(0, I) vectors. When every block has more than
-    NORMALS of them, the mean is drawn as N(0, I/m) and the scatter as
-    Wishart(I, m - 1) by Bartlett decomposition, L L^T with L lower
-    triangular, L_ii^2 ~ chi^2(m - 1 - i) and N(0, 1) below the diagonal:
-    first the k means, then the k x 45 sub-diagonal normals, then the k x 10
-    chi-squares. Otherwise each block's vectors are drawn and reduced.
+    Block j holds sizes[j] iid N(0, I_dim) vectors. When every block has more
+    than dim, the mean is drawn as N(0, I/m) and the scatter as Wishart(I,
+    m - 1) by Bartlett decomposition, L L^T with L lower triangular, L_ii^2 ~
+    chi^2(m - 1 - i) and N(0, 1) below the diagonal: first the k means, then
+    the sub-diagonal normals, then the chi-squares. Otherwise each block's
+    vectors are drawn and reduced.
     """
     k = len(sizes)
-    if sizes.min() > NORMALS:
+    if sizes.min() > dim:
         m = sizes.astype(float)
-        means = rng.standard_normal((k, NORMALS)) / np.sqrt(m)[:, None]
-        factor = np.zeros((k, NORMALS, NORMALS))
-        factor[:, _LOWER[0], _LOWER[1]] = rng.standard_normal((k, len(_LOWER[0])))
-        chi2 = rng.chisquare(m[:, None] - 1.0 - _NORMAL_DIAG)
-        factor[:, _NORMAL_DIAG, _NORMAL_DIAG] = np.sqrt(chi2)
+        means = rng.standard_normal((k, dim)) / np.sqrt(m)[:, None]
+        lower, diag = _BARTLETT[dim]
+        factor = np.zeros((k, dim, dim))
+        factor[:, lower[0], lower[1]] = rng.standard_normal((k, len(lower[0])))
+        factor[:, diag, diag] = np.sqrt(rng.chisquare(m[:, None] - 1.0 - diag))
         return means, factor @ factor.transpose(0, 2, 1)
-    blocks = [_reduce(rng.standard_normal((m, NORMALS)).T) for m in sizes]
-    return tuple(map(np.array, zip(*blocks)))
+    means, scatters = np.zeros((k, dim)), np.zeros((k, dim, dim))
+    for j, m in enumerate(sizes):
+        z = rng.standard_normal((m, dim))
+        means[j] = z.mean(axis=0) if m else 0.0
+        scatters[j] = (z - means[j]).T @ (z - means[j])
+    return means, scatters
 
 
 def _accepted_statistics(ch, tap, input_mean, window, n: int, seed: int):
-    """Counts (k,), means (k, NORMALS) and scatters of blocks of the accepted draws.
+    """Count (1,), mean (1, NORMALS) and scatter of the accepted draws of Z.
 
-    A trajectory is accepted when its tap read-out, as `sample` records it,
-    lies in the box window. The kept columns of Z are compacted in the shard's
-    own buffer, and every 64 blocks are pooled into one to bound the memory.
+    Shards draw u only and reduce the accepted offsets d = u - u0 from the
+    window centre with the window mask as weights, pooled shard by shard; the
+    rest is drawn from its exact law given those (see the module docstring).
     """
+    q, lower, centre = _tap_frame(ch, tap, input_mean)
     x_th, p_th = float(window[0]), float(window[1])
-    blocks = []
-    for _, draws in _shards(n, seed):
-        x_tap, p_tap = _tap_optics(ch, tap, input_mean, draws)[-2:]
-        kept = np.flatnonzero((np.abs(x_tap) <= x_th) & (np.abs(p_tap) <= p_th))
-        m = kept.size
-        flat = draws.reshape(-1)
-        # row i's kept values end before row i + 1 starts: no row is overwritten unread
-        for i, row in enumerate(draws):
-            flat[i * m : (i + 1) * m] = row[kept]
-        blocks.append((m, *_reduce(flat[: NORMALS * m].reshape(NORMALS, m))))
-        if len(blocks) == 64:
-            blocks = [_pool(*map(np.array, zip(*blocks)))]
-    return tuple(map(np.array, zip(*blocks)))
+    rng = _generator(seed)
+    m, offset, s_uu = 0, np.zeros(2), np.zeros((2, 2))
+    for _, d in _shards(rng, n, 2):
+        d -= centre[:, None]
+        x, p = _readout(lower, d)
+        keep = np.abs(x) <= x_th
+        keep &= np.abs(p) <= p_th
+        # centre the shard on its accepted mean: a wide window far from u0 loses no digits
+        count = np.count_nonzero(keep)
+        shard_mean = d @ keep / max(count, 1)
+        d -= shard_mean[:, None]
+        counts, means = np.array([m, count]), np.array([offset, shard_mean])
+        m, offset, s_uu = _pool(counts, means, np.array([s_uu, (d * keep) @ d.T]))
+    if m == 0:
+        return np.zeros(1, dtype=int), np.zeros((1, NORMALS)), np.zeros((1, NORMALS, NORMALS))
+    # F F^T = S_uu over its positive eigenvalues; m draws span at most m - 1
+    values, vectors = np.linalg.eigh(s_uu)
+    k = min(int(np.count_nonzero(values > 0.0)), m - 1)
+    f = vectors[:, 2 - k :] * np.sqrt(values[2 - k :])
+    h = rng.standard_normal((k, NORMALS - 2))
+    # w off the k directions of the centred u: m - k iid N(0, I8) draws
+    w_mean, w_scatter = _normal_statistics(rng, np.array([m - k]), NORMALS - 2)
+    mean = np.concatenate([centre + offset, w_mean[0] * np.sqrt((m - k) / m)])
+    scatter = np.block([[s_uu, f @ h], [(f @ h).T, h.T @ h + w_scatter[0]]])
+    return np.array([m]), (q @ mean)[None], (q @ scatter @ q.T)[None]
 
 
 def _pool(counts: np.ndarray, means: np.ndarray, scatters: np.ndarray):
@@ -345,17 +361,16 @@ def windowed_moments(
     `estimate_zero_window` takes its stderr from. Raises ValueError on
     non-finite moments.
 
-    Both kinds of batch yield blocks of (count, mean of Z, scatter of Z):
-    window-free batches draw one per `_replicate_edges` block from exact
-    sufficient statistics, heralded batches reduce the accepted draws of each
-    shard. The blocks are pooled, and the total (with replicates, each block
-    too) is mapped once through `affine_map`.
+    Both kinds of batch yield blocks of (count, mean of Z, scatter of Z)
+    from exact statistics (see the module docstring). The blocks are pooled,
+    and the total (with replicates, each block too) is mapped once through
+    `affine_map`.
     """
     _check_n(n)
     seed = _check_seed(seed)
     if window is None:
         counts = np.diff(_replicate_edges(n))
-        means, scatters = _normal_statistics(_generator(seed), counts)
+        means, scatters = _normal_statistics(_generator(seed), counts, NORMALS)
     elif replicates:
         raise ValueError("zero-window replicates need every trajectory (window=None)")
     else:

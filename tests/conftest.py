@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from envcorr import montecarlo
 from envcorr.channel import ChannelParams, Detector, TapConfig
 
 ETA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -12,6 +13,14 @@ def grid_points():
     return [
         (eta, gamma, v) for eta in ETA_GRID for gamma in GAMMA_GRID for v in V_GRID
     ]
+
+
+def heralded_readouts(ch, tap, input_mean, n, seed):
+    """(u, x_tap, p_tap) of a heralded batch, drawn and read out as its shards do."""
+    _, lower, centre = montecarlo._tap_frame(ch, tap, input_mean)
+    shards = montecarlo._shards(montecarlo._generator(seed), n, 2)
+    u = np.hstack([draws.copy() for _, draws in shards])
+    return (u, *montecarlo._readout(lower, u - centre[:, None]))
 
 
 @pytest.fixture

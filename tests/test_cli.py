@@ -188,6 +188,18 @@ class TestRun:
         assert cli.main(["run", str(bad), "--out", str(tmp_path)]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("detector", ["homodyne-x", "homodyne-p"])
+    def test_herald_needs_heterodyne_tap(self, tmp_path, capsys, detector):
+        cfg = write_config(
+            tmp_path,
+            tap={"gamma": 0.7, "detector": detector},
+            strategy="herald",
+            window={"x_th": 2.0, "p_th": 2.0},
+            mc={"n": 10_000, "seed": 3},
+        )
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "tap.detector: strategy 'herald'" in capsys.readouterr().err
+
     def test_herald_no_yield_exit_code(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -16,7 +16,7 @@ from envcorr.herald import (
     zero_window_gain,
 )
 
-from conftest import grid_points
+from conftest import grid_points, heralded_readouts
 
 
 def sharp_conditioned_signal(ch, tap, input_mean):
@@ -29,10 +29,11 @@ def sharp_conditioned_signal(ch, tap, input_mean):
 
 class TestWindow:
     def test_accept_logic(self):
-        # a trajectory is kept iff |x_tap| <= x_th and |p_tap| <= p_th
+        # a trajectory is kept iff |x_tap| <= x_th and |p_tap| <= p_th, on
+        # the read-outs the heralded shards compute from their draws
         ch, tap = ChannelParams(0.9, 25.0), TapConfig(0.7)
-        batch = montecarlo.sample(ch, tap, (0.0, 0.0), None, 20_000, 5)
-        x, p = np.abs(batch.column("x_tap")), np.abs(batch.column("p_tap"))
+        _, x, p = heralded_readouts(ch, tap, (0.0, 0.0), 20_000, 5)
+        x, p = np.abs(x), np.abs(p)
         for window in ((1.0, math.inf), (1.0, 0.4), (x[0], p[0])):
             out = montecarlo.windowed_moments(ch, tap, (0.0, 0.0), window, 20_000, 5)
             assert out.n_accepted == np.sum((x <= window[0]) & (p <= window[1]))

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from envcorr.montecarlo import (
     windowed_moments,
 )
 
-from conftest import grid_points
+from conftest import grid_points, heralded_readouts
 
 
 def het(gamma):
@@ -48,9 +49,25 @@ def moments(ch, tap, input_mean, plan, n, seed, **kwargs):
     return windowed_moments(ch, tap, input_mean, None, n, seed, plan=plan, **kwargs)
 
 
-def trajectory_moments(ch, tap, input_mean, plan, n, seed):
-    # the trajectory kernel accepting every trajectory: the draws of sample(...)
-    return windowed_moments(ch, tap, input_mean, OPEN, n, seed, plan=plan)
+def sample_draws(n, seed):
+    """The NORMALS x n standard normals that sample(..., n, seed) pushes through the optics."""
+    shards = montecarlo._shards(montecarlo._generator(seed), n, montecarlo.NORMALS)
+    return np.hstack([draws.copy() for _, draws in shards])
+
+
+def trajectory_moments(ch, tap, input_mean, plan, n, seed, keep=None):
+    """windowed_moments' map applied to one block reduced here from sample()'s draws.
+
+    keep selects the trajectories (default: all); the block of their Z stands
+    in for the heralded sampler's, so only the pooling and the map are tested.
+    """
+    z = sample_draws(n, seed)
+    z = z if keep is None else z[:, keep]
+    mean = z.mean(axis=1)
+    dev = z - mean[:, None]
+    block = (np.array([z.shape[1]]), mean[None], (dev @ dev.T)[None])
+    with mock.patch.object(montecarlo, "_accepted_statistics", lambda *args: block):
+        return windowed_moments(ch, tap, input_mean, OPEN, n, seed, plan=plan)
 
 
 class TestSampler:
@@ -177,13 +194,11 @@ class TestEstimators:
         n, seed = 50_000, 13
         window = scaled_window(CH, tap, 1.0)
         res = heralded_statistics(CH, tap, window, n, seed, input_mean=(6.0, 6.0))
-        batch = sample(CH, tap, (6.0, 6.0), None, n, seed)
-        mask = (np.abs(batch.column("x_tap")) <= window.x_th) & (
-            np.abs(batch.column("p_tap")) <= window.p_th
-        )
-        assert int(np.sum(mask)) == res.n_accepted
-        var_x = np.var(batch.column("x_recv")[mask], ddof=1)
-        # same draws: the streamed shard merge equals the direct variance
+        drawn = windowed_moments(CH, tap, (6.0, 6.0), (window.x_th, window.p_th), n, seed)
+        assert drawn.n_accepted == res.n_accepted
+        # the same moments: the estimate reads the receiver columns directly
+        (_, mean_x, var_x), (_, mean_p, _) = drawn.column("x_recv"), drawn.column("p_recv")
+        assert res.gain == pytest.approx((0.5 * (mean_x + mean_p) / 6.0) ** 2, rel=1e-12)
         assert var_x == pytest.approx(res.gain * (res.added_noise_x + 1.0), rel=1e-12)
 
     def test_windowed_moments_counts(self):
@@ -291,11 +306,10 @@ class TestMomentKernel:
     def test_moments_equal_record_reductions(self, tap, planner, windowed):
         plan = planner(CH, tap) if planner else None
         batch = sample(CH, tap, (3.0, -2.0), plan, self.N, 23)
-        window = (1.5, 2.0) if windowed else OPEN
         keep = None
         if windowed:
             keep = (np.abs(batch.column("x_tap")) <= 1.5) & (np.abs(batch.column("p_tap")) <= 2.0)
-        out = windowed_moments(CH, tap, (3.0, -2.0), window, self.N, 23, plan=plan)
+        out = trajectory_moments(CH, tap, (3.0, -2.0), plan, self.N, 23, keep)
         assert out.n_total == self.N
         for name in MOMENT_COLUMNS:
             count, mean, m2 = record_moments(batch, name, keep)
@@ -306,12 +320,12 @@ class TestMomentKernel:
             assert got_var == pytest.approx(m2 / (count - 1), rel=1e-12)
 
     def test_many_shards_pool_in_bounded_memory(self, monkeypatch):
-        # 2001 shards of 16: the shard blocks are pooled every 64, so the
-        # moments stay those of the records and the memory held stays flat
+        # 2001 shards of 16: pooled shard by shard, they give the count, mean and
+        # scatter of the accepted u, and the memory held stays flat
         monkeypatch.setattr(montecarlo, "SHARD_SIZE", 16)
         n, tap, window = 16 * 2000 + 5, het(0.7), (1.5, 2.0)
-        batch = sample(CH, tap, (3.0, -2.0), None, n, 29)
-        keep = (np.abs(batch.column("x_tap")) <= 1.5) & (np.abs(batch.column("p_tap")) <= 2.0)
+        u, x, p = heralded_readouts(CH, tap, (3.0, -2.0), n, 29)
+        kept = u[:, (np.abs(x) <= 1.5) & (np.abs(p) <= 2.0)]
         tracemalloc.start()
         try:
             out = windowed_moments(CH, tap, (3.0, -2.0), window, n, 29)
@@ -319,17 +333,25 @@ class TestMomentKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        for name in MOMENT_COLUMNS:
-            col = batch.column(name)[keep]
-            count, mean, var = out.column(name)
-            assert count == col.size
-            assert mean == pytest.approx(np.mean(col), rel=1e-12)
-            assert var == pytest.approx(np.var(col, ddof=1), rel=1e-12)
+        assert out.n_accepted == kept.shape[1]
+        counts, means, scatters = montecarlo._accepted_statistics(
+            CH, tap, (3.0, -2.0), window, n, 29
+        )
+        # back in the tap frame, the first two coordinates are those of u
+        q = montecarlo._tap_frame(CH, tap, (3.0, -2.0))[0][:, :2]
+        dev = kept - kept.mean(axis=1)[:, None]
+        assert counts.tolist() == [kept.shape[1]]
+        scatter = dev @ dev.T
+        scale = np.sqrt(np.trace(scatter) / kept.shape[1])
+        assert q.T @ means[0] == pytest.approx(kept.mean(axis=1), rel=1e-12, abs=1e-12 * scale)
+        assert (q.T @ scatters[0] @ q).ravel() == pytest.approx(
+            scatter.ravel(), rel=1e-12, abs=1e-12 * np.trace(scatter)
+        )
 
     def test_zero_window_matches_record_regression(self):
         tap, mean_in, n = het(0.6), (10.0, 10.0), 100_000
         records = sample(CH, tap, mean_in, None, n, 19).records
-        # trajectory-kernel moments of the same draws, with record blocks as replicates
+        # moments mapped from the same draws, with record blocks as replicates
         drawn = trajectory_moments(CH, tap, mean_in, None, n, 19)
         blocks = tuple(record_summary(block) for block in np.array_split(records, 64))
         est = estimate_zero_window(dataclasses.replace(drawn, blocks=blocks), mean_in)
@@ -534,3 +556,123 @@ class TestSamplerEquivalence:
             ratio = scipy_stats.f(dof, dof)
             p = 2 * min(ratio.cdf(var_a / var_b), ratio.sf(var_a / var_b))
             assert p >= level, (j, var_a, var_b)
+
+
+def moment_outputs(count, mean, m2, co):
+    """Count, column means, unbiased variances and the two co-moments of a summary."""
+    return [count, *mean, *(m2 / (count - 1)), *(co / (count - 1))]
+
+
+class TestHeraldedSampler:
+    """Heralded batches against the windowed records of sample(): same laws."""
+
+    R, N = 200, 10_000
+
+    @pytest.mark.parametrize(
+        "tap, planner, scale",
+        [
+            (het(0.6), None, 1.0),
+            (het(0.6), plan_optimal_heterodyne, 0.35),
+            (hom(0.6), None, 0.5),
+        ],
+        ids=["het", "het-optimal-narrow", "hom-x"],
+    )
+    def test_moments_agree_with_windowed_records(self, tap, planner, scale):
+        plan = planner(CH, tap) if planner else None
+        window = scaled_window(CH, tap, scale)
+        heralded, records = [], []
+        for r in range(self.R):
+            drawn = windowed_moments(
+                CH, tap, PROBE, (window.x_th, window.p_th), self.N, 60_000 + r, plan=plan
+            )
+            heralded.append(moment_outputs(drawn.n_accepted, drawn.mean, drawn.m2, drawn.co))
+            batch = sample(CH, tap, PROBE, plan, self.N, r)
+            keep = (np.abs(batch.column("x_tap")) <= window.x_th) & (
+                np.abs(batch.column("p_tap")) <= window.p_th
+            )
+            records.append(moment_outputs(*record_summary(batch.records[keep])))
+        heralded, records = np.array(heralded), np.array(records)
+        assert 100 < heralded[:, 0].min()
+        # a two-sided 5 sigma level for both the means and the F-test
+        level = 2 * scipy_stats.norm.sf(5.0)
+        dof = self.R - 1
+        for j in range(heralded.shape[1]):
+            a, b = heralded[:, j], records[:, j]
+            var_a, var_b = np.var(a, ddof=1), np.var(b, ddof=1)
+            z = (a.mean() - b.mean()) / np.sqrt((var_a + var_b) / self.R)
+            assert abs(z) <= 5.0, (j, z)
+            ratio = scipy_stats.f(dof, dof)
+            p = 2 * min(ratio.cdf(var_a / var_b), ratio.sf(var_a / var_b))
+            assert p >= level, (j, var_a, var_b)
+
+    @pytest.mark.parametrize("accepted", [0, 1, 2, 3])
+    def test_small_accepted_counts(self, accepted):
+        # a square window through the read-out of the accepted-th nearest trajectory
+        tap, n, seed = het(0.7), 10_000, 8
+        _, x, p = heralded_readouts(CH, tap, PROBE, n, seed)
+        reach = np.sort(np.maximum(np.abs(x), np.abs(p)))
+        half = reach[accepted - 1] if accepted else 0.5 * reach[0]
+        drawn = windowed_moments(CH, tap, PROBE, (half, half), n, seed)
+        assert drawn.n_accepted == accepted
+        assert all(np.all(np.isfinite(v)) for v in (drawn.mean, drawn.m2, drawn.co))
+        if accepted == 1:
+            assert np.all(drawn.m2 == 0) and np.all(drawn.co == 0)
+        if accepted >= 2:
+            assert np.all(drawn.m2 > 0)
+
+    @pytest.mark.parametrize("accepted", [4, 12])
+    def test_rest_of_z_has_its_conditional_law(self, accepted):
+        # in the tap frame Z = Q (u, w): given the accepted u, sqrt(m) mean(w),
+        # the scatter of w and the cross scatter whitened by S_uu are standard
+        # normals, Wishart(I8, m - 1) and Wishart(I8, 2); m = 4 draws the rest
+        # explicitly, m = 12 by Bartlett decomposition
+        tap, n = het(0.7), 2_000
+        q = montecarlo._tap_frame(CH, tap, PROBE)[0]
+        mean_sq, scatter_tr, cross_tr = [], [], []
+        for seed in range(300):
+            _, x, p = heralded_readouts(CH, tap, PROBE, n, seed)
+            half = np.sort(np.maximum(np.abs(x), np.abs(p)))[accepted - 1]
+            counts, means, scatters = montecarlo._accepted_statistics(
+                CH, tap, PROBE, (half, half), n, seed
+            )
+            assert counts.tolist() == [accepted]
+            mean, scatter = q.T @ means[0], q.T @ scatters[0] @ q
+            s_uu, s_uw, s_ww = scatter[:2, :2], scatter[:2, 2:], scatter[2:, 2:]
+            mean_sq.append(accepted * mean[2:] @ mean[2:])
+            scatter_tr.append(np.trace(s_ww))
+            cross_tr.append(np.trace(s_uw.T @ np.linalg.solve(s_uu, s_uw)))
+        level = 1e-6
+        for values, dof in ((mean_sq, 8), (scatter_tr, 8 * (accepted - 1)), (cross_tr, 16)):
+            assert scipy_stats.kstest(values, scipy_stats.chi2(dof).cdf).pvalue > level, dof
+
+    def test_open_window_far_from_centre_keeps_its_digits(self):
+        # the input mean shifts every read-out and leaves the draws alone, so the
+        # moments about the mean stay put; 1e-7 leaves room for the ~1e-9 rounding
+        # of (A, b) read off at a 1e7 offset, not for sums taken 6e5 sigma away
+        near = windowed_moments(CH, het(0.7), (6.0, 6.0), OPEN, 100_000, 3)
+        far = windowed_moments(CH, het(0.7), (1e7, 1e7), OPEN, 100_000, 3)
+        assert far.m2 == pytest.approx(near.m2, rel=1e-7)
+        assert far.co == pytest.approx(near.co, rel=1e-7)
+
+    def test_shards_draw_two_normals_per_trajectory(self, monkeypatch):
+        shapes = []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size=None, out=None):
+                shapes.append(np.shape(out) if out is not None else np.shape(np.empty(size)))
+                return self.rng.standard_normal(size, out=out)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        make = montecarlo._generator
+        monkeypatch.setattr(montecarlo, "_generator", lambda seed: Counting(make(seed)))
+        n = 3 * SHARD_SIZE + 1234
+        drawn = windowed_moments(CH, het(0.7), PROBE, (1.5, 2.0), n, 23)
+        assert drawn.n_accepted > 100
+        assert shapes[:4] == [(2, SHARD_SIZE)] * 3 + [(2, 1234)]
+        # then only the batch's exact statistics: H (2 x 8), the w mean and its Bartlett factor
+        assert [int(np.prod(shape)) for shape in shapes[4:]] == [16, 8, 28]
