@@ -155,11 +155,14 @@ def _apply_optics(
 def _read_map(ch, tap, input_mean, plan, rows):
     """(A, b) such that the given rows of `_apply_optics` are A Z + b.
 
-    Read off `_apply_optics` on a zero column (b) and the basis columns (b + A).
+    b is `_apply_optics` on a zero column. A is read at input mean (0, 0), off
+    the basis columns minus the zero column, so that it keeps its digits however
+    far the input mean shifts the read-outs.
     """
     draws = np.hstack([np.zeros((NORMALS, 1)), np.eye(NORMALS)])
-    cols = np.array(_apply_optics(ch, tap, input_mean, plan, draws))[rows]
-    return cols[:, 1:] - cols[:, :1], cols[:, 0]
+    cols = np.array(_apply_optics(ch, tap, (0.0, 0.0), plan, draws))[rows]
+    offset = np.array(_apply_optics(ch, tap, input_mean, plan, draws[:, :1]))[rows]
+    return cols[:, 1:] - cols[:, :1], offset[:, 0]
 
 
 def affine_map(

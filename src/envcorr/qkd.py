@@ -13,18 +13,42 @@ Shannon rate, homodyne reception
     gain G cancels because it scales signal and noise alike.
 
 Eavesdropper bounds
-    individual: Shannon bound with Eve's effective channel carrying the
-    Heisenberg-dual noise 1/chi, i.e. I_AE = 1/2 log2(1 + sigma chi/(1+chi)).
-    For a pure-loss line (chi = (1-T)/T) this is exactly the beam-splitter
-    attack 1/2 log2(1 + (1-T) sigma). The reverse variant uses Eve's
-    sharp-conditioned variance on Bob's value in the dilation below.
+    The channel is dilated by a beam splitter (G < 1) or a two-mode squeezer
+    (G > 1) fed with half an EPR pair of variance w = max(G chi/|G-1|, 1);
+    Eve holds the other dilation output and the EPR twin. The dilation
+    realizes chi = max(chi, |G-1|/G); noise below that floor is refused. Each
+    bound is a closed form of this model, after the entanglement-based forms
+    of Lodewyck et al., PRA 76, 042305 (2007) and the V_B|E of Grosshans et
+    al., Nature 421, 238 (2003). With V = 1 + sigma and q = 1 + chi V,
+    Alice's EPR twin A and Bob's mode B have variances V and G(V + chi) and
+    correlation sqrt(G(V^2 - 1)).
 
-    collective: Holevo bound computed from a Gaussian dilation of the
-    channel. A gain-G, noise-chi channel is realized by a beam splitter
-    (G <= 1) or a two-mode squeezer (G > 1) fed with half an EPR pair whose
-    variance is tuned to chi; Eve holds the other dilation output and the
-    EPR twin. chi(A;E) conditions Eve's states per key quadrature; chi(B;E)
-    conditions them on Bob's homodyne outcome.
+    individual: Shannon bounds. Direct: Eve's effective channel carries the
+    Heisenberg-dual noise 1/chi, I_AE = 1/2 log2(1 + sigma chi/(1+chi)); on
+    a pure-loss line (chi = (1-T)/T) that is the beam-splitter attack
+    1/2 log2(1 + (1-T) sigma). Reverse: 1/2 log2(V_B / V_B|E) with Eve
+    sharp-conditioned on both her modes; the whole state is pure, so
+    V_B|E = 1/V_B|A and the bound is 1/2 log2(G^2 (V + chi)(1/V + chi)).
+
+    collective: Holevo bounds S(E) - S(E|A) and S(E) - S(E|B), with
+    g(nu) = a log2 a - b log2 b, a = (nu+1)/2, b = (nu-1)/2, per mode
+    (for b > 1 as log2 b + a log1p(1/b)/ln 2, which does not cancel).
+      S(E) = S(A, B), the whole state being pure: nu_+- =
+        (sqrt(x^2 + 4 G q) +- x)/2 with x = |V(1-G) - G chi|.
+      S(E|A), homodyne: Eve's state for the input diag(1, V), the key
+        quadrature known and the other still modulated. Through its
+        purification, nu_+-^2 = (D +- sqrt(D^2 - 4 det))/2 with
+        D = V(1-G)^2 + G^2 chi (1+V+chi) + 2G and det = G^2 q (1+chi); the
+        discriminant is formed from the x and p blocks,
+        (V(1-G^2) - G^2 chi (1+V+chi))^2 + 4G(V-1)((G-1)V + G chi)(1-G - G chi),
+        not as a difference of squares.
+      S(E|A), heterodyne: Eve's state for a vacuum input, nu = G(1+chi).
+      S(E|B) = S(A|B), Bob's measurement leaving a pure state:
+        nu = sqrt(V q/(V + chi)) for homodyne and
+        (V + G q)/(1 + G(V + chi)) for heterodyne.
+    All of these are continuous through G = 1. Channels with |G-1| < 1e-4
+    and 1e-9 < chi < 1e-4/1.0001 are refused as well: an earlier gain clamp
+    refused them, and the refused set is kept.
 """
 
 from __future__ import annotations
@@ -32,10 +56,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .states import symplectic_form
 
 # sigma at which the sigma -> infinity limits are evaluated; rates converge
 # like O(1/sigma), so this is exact to ~1e-7 bits
@@ -93,107 +113,36 @@ def mutual_information(chan: EffectiveChannel, sigma: float) -> float:
     return math.log2(1.0 + sigma / (1.0 + chi + 1.0 / chan.gain))
 
 
-# -- Gaussian dilation of the effective channel ------------------------------
+# -- the dilation's entropies in closed form ---------------------------------
 
-_Z = np.diag([1.0, -1.0])
-_I2 = np.eye(2)
+_LN2 = math.log(2.0)
+# the gain of an earlier clamp near G = 1; its refusal band is kept below
+_BAND_GAIN = 1.0 + 1e-4
 
 
 def _entropy_bits(nu: float) -> float:
-    if nu <= 1.0 + 1e-12:
+    """g(nu): entropy of a thermal mode of symplectic eigenvalue nu, in bits."""
+    if nu <= 1.0:
         return 0.0
-    a, b = (nu + 1.0) / 2.0, (nu - 1.0) / 2.0
+    b = (nu - 1.0) / 2.0
+    if b > 1.0:
+        # a log a - b log b with a = b + 1, without the cancellation
+        return math.log2(b) + (b + 1.0) * math.log1p(1.0 / b) / _LN2
+    a = b + 1.0
     return a * math.log2(a) - b * math.log2(b)
 
 
-def _von_neumann(cov: np.ndarray) -> float:
-    omega = symplectic_form(cov.shape[0] // 2)
-    eigs = np.sort(np.abs(np.linalg.eigvals(1j * omega @ cov)))[::2]
-    return float(sum(_entropy_bits(float(v)) for v in eigs))
-
-
-def _dilation_cov(gain: float, chi: float, vx: float, vp: float) -> np.ndarray:
-    """Covariance of (Bob, dilation mode, EPR twin) for source diag(vx, vp).
-
-    Quadrature order (x_B, p_B, x_E1, p_E1, x_E2, p_E2).
-    """
-    vin = np.diag([vx, vp])
-    g = gain
+def _dilated_noise(chan: EffectiveChannel) -> float:
+    """The chi the dilation realizes, max(chi, |G-1|/G); refuse sub-floor chi."""
+    g, chi = chan.gain, chan.added_noise
+    floor = abs(g - 1.0) / g
     if abs(g - 1.0) < 1e-4:
-        if chi > 1e-9:
-            # additive-noise regime: approach from the amplifier side; the
-            # entropies converge like O(|g-1|) and float64 degrades below
-            # 1e-5, so clamp at 1e-4 (error ~1e-7 bits)
-            g = 1.0 + 1e-4
-        else:
-            cov = np.eye(6)
-            cov[:2, :2] = vin
-            return cov
-    if g < 1.0:
-        floor = (1.0 - g) / g
-        if chi < floor - 1e-12:
-            raise ValueError("added noise below the loss vacuum floor")
-        w = max(g * chi / (1.0 - g), 1.0)
-        t, r = math.sqrt(g), math.sqrt(1.0 - g)
-        # Bob = t in + r w;  E1 = r in - t w;  E2 = EPR twin of w
-        cz = math.sqrt(max(w * w - 1.0, 0.0)) * _Z
-        cov = np.zeros((6, 6))
-        cov[:2, :2] = g * vin + (1.0 - g) * w * _I2
-        cov[2:4, 2:4] = (1.0 - g) * vin + g * w * _I2
-        cov[4:6, 4:6] = w * _I2
-        cov[:2, 2:4] = cov[2:4, :2] = t * r * (vin - w * _I2)
-        cov[:2, 4:6] = cov[4:6, :2] = r * cz
-        cov[2:4, 4:6] = cov[4:6, 2:4] = -t * cz
-        return cov
-    floor = (g - 1.0) / g
-    if chi < floor - 1e-12:
-        raise ValueError("added noise below the amplifier quantum floor")
-    w = max(g * chi / (g - 1.0), 1.0)
-    s, m = math.sqrt(g), math.sqrt(g - 1.0)
-    # Bob = s in + m Z w;  E1 = m Z in + s w;  E2 = EPR twin of w
-    cz = math.sqrt(max(w * w - 1.0, 0.0)) * _Z
-    cov = np.zeros((6, 6))
-    cov[:2, :2] = g * vin + (g - 1.0) * w * _I2
-    cov[2:4, 2:4] = (g - 1.0) * _Z @ vin @ _Z + g * w * _I2
-    cov[4:6, 4:6] = w * _I2
-    cov[:2, 2:4] = cov[2:4, :2] = s * m * (vin @ _Z + w * _Z)
-    cov[:2, 4:6] = cov[4:6, :2] = m * _Z @ cz
-    cov[2:4, 4:6] = cov[4:6, 2:4] = s * cz
-    return cov
-
-
-def _holevo_direct(chan: EffectiveChannel, sigma: float) -> float:
-    # Eve's entropy averaged over the key quadrature minus conditioned on it;
-    # the conjugate quadrature stays modulated in both terms
-    if chan.detection is Detection.HOMODYNE:
-        cond = _dilation_cov(chan.gain, chan.added_noise, 1.0, 1.0 + sigma)
-    else:
-        cond = _dilation_cov(chan.gain, chan.added_noise, 1.0, 1.0)
-    full = _dilation_cov(chan.gain, chan.added_noise, 1.0 + sigma, 1.0 + sigma)
-    return _von_neumann(full[2:, 2:]) - _von_neumann(cond[2:, 2:])
-
-
-def _holevo_reverse(chan: EffectiveChannel, sigma: float) -> float:
-    cov = _dilation_cov(chan.gain, chan.added_noise, 1.0 + sigma, 1.0 + sigma)
-    s_eve = _von_neumann(cov[2:, 2:])
-    if chan.detection is Detection.HOMODYNE:
-        # condition Eve on Bob's sharp X outcome
-        var_b = cov[0, 0]
-        row = cov[2:, 0]
-        cond = cov[2:, 2:] - np.outer(row, row) / var_b
-    else:
-        c = cov[2:, :2]
-        cond = cov[2:, 2:] - c @ np.linalg.inv(cov[:2, :2] + _I2) @ c.T
-    return s_eve - _von_neumann(cond)
-
-
-def _individual_reverse(chan: EffectiveChannel, sigma: float) -> float:
-    # Shannon bound with Eve granted sharp conditioning on her dilation modes
-    cov = _dilation_cov(chan.gain, chan.added_noise, 1.0 + sigma, 1.0 + sigma)
-    var_b = cov[0, 0]
-    c = cov[2:, 0]
-    resid = var_b - c @ np.linalg.solve(cov[2:, 2:], c)
-    return 0.5 * math.log2(var_b / resid)
+        if 1e-9 < chi < (_BAND_GAIN - 1.0) / _BAND_GAIN - 1e-12:
+            raise ValueError("added noise below the amplifier quantum floor")
+    elif chi < floor - 1e-12:
+        side = "loss vacuum" if g < 1.0 else "amplifier quantum"
+        raise ValueError(f"added noise below the {side} floor")
+    return max(chi, floor)
 
 
 def eve_information(
@@ -202,14 +151,32 @@ def eve_information(
     """Upper bound on the eavesdropper's information, bits per symbol."""
     if sigma <= 0.0:
         raise ValueError("modulation variance must be positive")
-    chi = chan.added_noise
+    if attack is Attack.INDIVIDUAL and direction is Direction.DIRECT:
+        chi = chan.added_noise
+        return 0.5 * math.log2(1.0 + sigma * chi / (1.0 + chi))
+    g, chi, v = chan.gain, _dilated_noise(chan), 1.0 + sigma
+    q = 1.0 + chi * v
     if attack is Attack.INDIVIDUAL:
-        if direction is Direction.DIRECT:
-            return 0.5 * math.log2(1.0 + sigma * chi / (1.0 + chi))
-        return _individual_reverse(chan, sigma)
-    if direction is Direction.DIRECT:
-        return _holevo_direct(chan, sigma)
-    return _holevo_reverse(chan, sigma)
+        return 0.5 * math.log2(g * g * (v + chi) * (1.0 / v + chi))
+    # S(E) = S(A, B): nu_+- = (sqrt(x^2 + 4 G q) +- x) / 2
+    x = abs(v * (1.0 - g) - g * chi)
+    nu = (x + math.sqrt(x * x + 4.0 * g * q)) / 2.0
+    s_eve = _entropy_bits(nu) + _entropy_bits(g * q / nu)
+    heterodyne = chan.detection is Detection.HETERODYNE
+    if direction is Direction.REVERSE:
+        if heterodyne:
+            return s_eve - _entropy_bits((v + g * q) / (1.0 + g * (v + chi)))
+        return s_eve - _entropy_bits(math.sqrt(v * q / (v + chi)))
+    if heterodyne:
+        return s_eve - _entropy_bits(g * (1.0 + chi))
+    # Eve's state for the input diag(1, V), through its purification
+    delta = v * (1.0 - g) ** 2 + g * g * chi * (1.0 + v + chi) + 2.0 * g
+    det = g * g * q * (1.0 + chi)
+    # D^2 - 4 det from the x and p blocks, not as a difference of squares
+    disc = (v * (1.0 - g) * (1.0 + g) - g * g * chi * (1.0 + v + chi)) ** 2
+    disc += 4.0 * g * (v - 1.0) * ((g - 1.0) * v + g * chi) * (1.0 - g - g * chi)
+    nu_sq = (delta + math.sqrt(max(disc, 0.0))) / 2.0
+    return s_eve - _entropy_bits(math.sqrt(nu_sq)) - _entropy_bits(math.sqrt(det / nu_sq))
 
 
 def key_rate(

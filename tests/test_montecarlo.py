@@ -647,12 +647,12 @@ class TestHeraldedSampler:
 
     def test_open_window_far_from_centre_keeps_its_digits(self):
         # the input mean shifts every read-out and leaves the draws alone, so the
-        # moments about the mean stay put; 1e-7 leaves room for the ~1e-9 rounding
-        # of (A, b) read off at a 1e7 offset, not for sums taken 6e5 sigma away
+        # moments about the mean stay put; A is read at input mean 0, so only the
+        # window centre and the sums about it see the 1e7 offset
         near = windowed_moments(CH, het(0.7), (6.0, 6.0), OPEN, 100_000, 3)
         far = windowed_moments(CH, het(0.7), (1e7, 1e7), OPEN, 100_000, 3)
-        assert far.m2 == pytest.approx(near.m2, rel=1e-7)
-        assert far.co == pytest.approx(near.co, rel=1e-7)
+        assert far.m2 == pytest.approx(near.m2, rel=1e-10)
+        assert far.co == pytest.approx(near.co, rel=1e-10)
 
     def test_shards_draw_two_normals_per_trajectory(self, monkeypatch):
         shapes = []

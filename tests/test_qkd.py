@@ -1,14 +1,20 @@
 import csv
+import itertools
 import json
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from envcorr import cli
 from envcorr.channel import ChannelParams, TapConfig, excess_noise, security_thresholds
 from envcorr.feedforward import optimal_added_noise, plan_optimal_heterodyne
 from envcorr.herald import zero_window_added_noise, zero_window_gain
 from envcorr.qkd import (
+    ASYMPTOTIC_SIGMA,
     Attack,
     Detection,
     Direction,
@@ -19,6 +25,9 @@ from envcorr.qkd import (
 )
 
 TABLE_GAMMAS = (0.92, 0.82, 0.68, 0.48, 0.2)
+# the benchmark's keyrate channels within 1e-4 of unit gain, chi just above
+# their own floor |G-1|/G
+NEAR_UNITY = ((1.00005, 5e-5 + 1e-9), (1.00002, 2e-5 + 1e-9), (0.99995, 5e-5 / 0.99995 + 1e-9))
 
 
 def theory_channel(gamma):
@@ -221,3 +230,264 @@ class TestEffectiveChannel:
     def test_non_finite_noise_rejected(self, noise):
         with pytest.raises(ValueError, match="added_noise"):
             EffectiveChannel(1.0, noise)
+
+
+# -- the 6x6 dilation and complex eigvals route, kept as a reference ----------
+# The package evaluated Eve's information this way before its closed forms.
+# Only valid channels with |G-1| >= 1e-3 reach it here, so the gain clamp near
+# G = 1 and the floor checks are left out.
+
+_Z = np.diag([1.0, -1.0])
+_I2 = np.eye(2)
+_OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _entropy_bits(nu):
+    if nu <= 1.0 + 1e-12:
+        return 0.0
+    a, b = (nu + 1.0) / 2.0, (nu - 1.0) / 2.0
+    return a * math.log2(a) - b * math.log2(b)
+
+
+def _von_neumann(cov):
+    eigs = np.sort(np.abs(np.linalg.eigvals(1j * _OMEGA @ cov)))[::2]
+    return float(sum(_entropy_bits(float(v)) for v in eigs))
+
+
+def _dilation_cov(g, chi, vx, vp):
+    """Covariance of (Bob, dilation mode, EPR twin) for source diag(vx, vp)."""
+    vin = np.diag([vx, vp])
+    cov = np.zeros((6, 6))
+    if g < 1.0:
+        w = max(g * chi / (1.0 - g), 1.0)
+        t, r = math.sqrt(g), math.sqrt(1.0 - g)
+        # Bob = t in + r w;  E1 = r in - t w;  E2 = EPR twin of w
+        cz = math.sqrt(max(w * w - 1.0, 0.0)) * _Z
+        cov[:2, :2] = g * vin + (1.0 - g) * w * _I2
+        cov[2:4, 2:4] = (1.0 - g) * vin + g * w * _I2
+        cov[4:6, 4:6] = w * _I2
+        cov[:2, 2:4] = cov[2:4, :2] = t * r * (vin - w * _I2)
+        cov[:2, 4:6] = cov[4:6, :2] = r * cz
+        cov[2:4, 4:6] = cov[4:6, 2:4] = -t * cz
+        return cov
+    w = max(g * chi / (g - 1.0), 1.0)
+    s, m = math.sqrt(g), math.sqrt(g - 1.0)
+    # Bob = s in + m Z w;  E1 = m Z in + s w;  E2 = EPR twin of w
+    cz = math.sqrt(max(w * w - 1.0, 0.0)) * _Z
+    cov[:2, :2] = g * vin + (g - 1.0) * w * _I2
+    cov[2:4, 2:4] = (g - 1.0) * _Z @ vin @ _Z + g * w * _I2
+    cov[4:6, 4:6] = w * _I2
+    cov[:2, 2:4] = cov[2:4, :2] = s * m * (vin @ _Z + w * _Z)
+    cov[:2, 4:6] = cov[4:6, :2] = m * _Z @ cz
+    cov[2:4, 4:6] = cov[4:6, 2:4] = s * cz
+    return cov
+
+
+def dilation_eve(chan, sigma, attack, direction):
+    """Eve's information through the 6x6 dilation and eigvals."""
+    g, chi, v = chan.gain, chan.added_noise, 1.0 + sigma
+    heterodyne = chan.detection is Detection.HETERODYNE
+    if attack is Attack.INDIVIDUAL and direction is Direction.DIRECT:
+        return 0.5 * math.log2(1.0 + sigma * chi / (1.0 + chi))
+    cov = _dilation_cov(g, chi, v, v)
+    if attack is Attack.INDIVIDUAL:
+        c = cov[2:, 0]
+        return 0.5 * math.log2(cov[0, 0] / (cov[0, 0] - c @ np.linalg.solve(cov[2:, 2:], c)))
+    s_eve = _von_neumann(cov[2:, 2:])
+    if direction is Direction.DIRECT:
+        cond = _dilation_cov(g, chi, 1.0, 1.0 if heterodyne else v)[2:, 2:]
+    elif heterodyne:
+        c = cov[2:, :2]
+        cond = cov[2:, 2:] - c @ np.linalg.inv(cov[:2, :2] + _I2) @ c.T
+    else:
+        cond = cov[2:, 2:] - np.outer(cov[2:, 0], cov[2:, 0]) / cov[0, 0]
+    return s_eve - _von_neumann(cond)
+
+
+# -- the same dilation in mpmath ----------------------------------------------
+
+
+def _mp_entropy(nu):
+    if nu <= 1:
+        return mp.mpf(0)
+    a, b = (nu + 1) / 2, (nu - 1) / 2
+    return a * mp.log(a, 2) - b * mp.log(b, 2)
+
+
+def _mp_two_mode(cov):
+    """Entropy of a two-mode state from det A + det B + 2 det C and det cov."""
+
+    def det2(r, c):
+        return cov[r, c] * cov[r + 1, c + 1] - cov[r, c + 1] * cov[r + 1, c]
+
+    delta = det2(0, 0) + det2(2, 2) + 2 * det2(0, 2)
+    det = mp.det(cov)
+    nu_sq = (delta + mp.sqrt(max(delta * delta - 4 * det, 0))) / 2
+    return _mp_entropy(mp.sqrt(nu_sq)) + _mp_entropy(mp.sqrt(det / nu_sq))
+
+
+def _mp_dilation(g, chi, vx, vp):
+    """Covariance of (Bob, E1, E2) as `_dilation_cov`, built as mix source mix^T."""
+    if g < 1:
+        t, r = mp.sqrt(g), mp.sqrt(1 - g)
+        # Bob = t in + r w;  E1 = r in - t w
+        rows = [[t, 0, r, 0], [0, t, 0, r], [r, 0, -t, 0], [0, r, 0, -t]]
+    else:
+        s, m = mp.sqrt(g), mp.sqrt(g - 1)
+        # Bob = s in + m Z w;  E1 = m Z in + s w
+        rows = [[s, 0, m, 0], [0, s, 0, -m], [m, 0, s, 0], [0, -m, 0, s]]
+    mix = mp.eye(6)
+    for i, j in itertools.product(range(4), range(4)):
+        mix[i, j] = rows[i][j]
+    w = max(g * chi / abs(1 - g), 1)
+    source = mp.diag([vx, vp, w, w, w, w])
+    epr = mp.sqrt(w * w - 1)
+    source[2, 4] = source[4, 2] = epr
+    source[3, 5] = source[5, 3] = -epr
+    return mix * source * mix.T
+
+
+def mp_eve(chan, sigma, attack, direction):
+    """Eve's information by the dilation in at least 50 digits.
+
+    The digits grow with the dilation's EPR variance w = G chi/|G-1| and with
+    sigma, whose powers cancel in the determinants. G = 1 is taken as
+    1 + 1e-30, where the rates differ from their limit by O(1e-30).
+    """
+    gain, chi = chan.gain, chan.added_noise
+    w = max(gain * chi / (abs(gain - 1.0) or 1e-30), 1.0)
+    with mp.workdps(50 + 4 * int(math.log10(w)) + 2 * int(math.log10(1.0 + sigma))):
+        g = mp.mpf(gain) if gain != 1.0 else 1 + mp.mpf(10) ** -30
+        chi, v = mp.mpf(chi), 1 + mp.mpf(sigma)
+        if attack is Attack.INDIVIDUAL and direction is Direction.DIRECT:
+            return float(mp.log(1 + (v - 1) * chi / (1 + chi), 2) / 2)
+        cov = _mp_dilation(g, chi, v, v)
+        eve = cov[2:6, 2:6]
+        if attack is Attack.INDIVIDUAL:
+            c = cov[2:6, 0]
+            resid = cov[0, 0] - (c.T * mp.lu_solve(eve, c))[0]
+            return float(mp.log(cov[0, 0] / resid, 2) / 2)
+        heterodyne = chan.detection is Detection.HETERODYNE
+        if direction is Direction.DIRECT:
+            cond = _mp_dilation(g, chi, 1, 1 if heterodyne else v)[2:6, 2:6]
+        elif heterodyne:
+            c = cov[2:6, 0:2]
+            cond = eve - c * mp.inverse(cov[0:2, 0:2] + mp.eye(2)) * c.T
+        else:
+            c = cov[2:6, 0]
+            cond = eve - c * c.T / cov[0, 0]
+        return float(_mp_two_mode(eve) - _mp_two_mode(cond))
+
+
+ROUTES = list(itertools.product(Detection, Attack, Direction))
+HOMODYNE_HOLEVO_DIRECT = (Detection.HOMODYNE, Attack.COLLECTIVE, Direction.DIRECT)
+
+
+class TestClosedForms:
+    """Eve's closed-form information against the dilation it replaces."""
+
+    # |G-1| >= 1e-2 keeps the EPR variance w = G chi/|G-1| of the float64
+    # reference at most about 300: it loses digits as w grows (1.2e-8 bits at
+    # G = 0.999, chi = floor + 3, where the mpmath dilation agrees with the
+    # closed forms to 1e-14)
+    @pytest.mark.parametrize("gain", (0.05, 0.2, 0.5, 0.8, 0.95, 0.99, 1.01, 1.05, 1.5, 2.5, 4.0))
+    def test_match_the_float_dilation(self, gain):
+        worst = {False: 0.0, True: 0.0}
+        for extra, sigma, (det, attack, direction) in itertools.product(
+            (0.0, 1e-6, 0.01, 0.2, 1.0), (0.5, 5.0, 40.0, 300.0, ASYMPTOTIC_SIGMA), ROUTES
+        ):
+            chan = EffectiveChannel(gain, abs(gain - 1.0) / gain + extra, det)
+            got = eve_information(chan, sigma, attack, direction)
+            err = abs(got - dilation_eve(chan, sigma, attack, direction))
+            asymptotic = sigma == ASYMPTOTIC_SIGMA
+            worst[asymptotic] = max(worst[asymptotic], err)
+        assert worst[False] <= 1e-9
+        assert worst[True] <= 1e-6
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        gain=st.one_of(
+            st.floats(0.02, 20.0),
+            st.builds(
+                lambda k, side: 1.0 + side * 10.0**-k,
+                st.floats(3.0, 12.0),
+                st.sampled_from((-1.0, 1.0)),
+            ),
+            st.just(1.0),
+        ),
+        extra=st.one_of(st.just(0.0), st.floats(-15.0, 1.6).map(lambda e: 10.0**e)),
+        sigma=st.one_of(st.floats(-2.0, 3.0).map(lambda e: 10.0**e), st.just(ASYMPTOTIC_SIGMA)),
+        route=st.sampled_from(ROUTES),
+    )
+    # nearly pure states that a difference of squares (in D^2 - 4 det or in
+    # S(E)) or an entropy cut-off at 1 + 1e-12 gets wrong by more than 1e-12
+    @example(gain=1.0, extra=1e-11, sigma=ASYMPTOTIC_SIGMA, route=HOMODYNE_HOLEVO_DIRECT)
+    @example(gain=1.0 - 1e-9, extra=0.0, sigma=1.0, route=HOMODYNE_HOLEVO_DIRECT)
+    @example(gain=1.0, extra=1e-12, sigma=ASYMPTOTIC_SIGMA, route=HOMODYNE_HOLEVO_DIRECT)
+    def test_match_the_dilation_in_mpmath(self, gain, extra, sigma, route):
+        detection, attack, direction = route
+        chi = abs(gain - 1.0) / gain + extra
+        assume(not (abs(gain - 1.0) < 1e-4 and 1e-9 < chi < 1e-4))  # the kept band
+        chan = EffectiveChannel(gain, chi, detection)
+        got = eve_information(chan, sigma, attack, direction)
+        assert got == pytest.approx(mp_eve(chan, sigma, attack, direction), abs=1e-12)
+
+    @pytest.mark.parametrize("detection", list(Detection))
+    @pytest.mark.parametrize("attack", list(Attack))
+    def test_continuous_through_unit_gain(self, detection, attack):
+        # the loss channel G = 1 - 1e-3 needs chi >= 1.001e-3, so its side
+        # starts at k = 4
+        chi, fields = 1e-3, ("k_direct", "k_reverse", "k_direct_asymptotic", "k_reverse_asymptotic")
+        unit = EffectiveChannel(1.0, chi, detection)
+        at_one = key_rate(unit, 40.0, attack)
+        for direction, field in zip(Direction, fields[:2]):
+            expected = mutual_information(unit, 40.0) - mp_eve(unit, 40.0, attack, direction)
+            assert getattr(at_one, field) == pytest.approx(expected, abs=1e-12)
+        for side, first in ((1.0, 3), (-1.0, 4)):
+            gaps = []
+            for k in range(first, 10):
+                report = key_rate(EffectiveChannel(1.0 + side * 10.0**-k, chi, detection), 40.0, attack)
+                gaps.append(max(abs(getattr(report, f) - getattr(at_one, f)) for f in fields))
+                if k >= 4:
+                    assert gaps[-1] <= 50 * 10.0**-k
+            assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+
+
+class TestFloorRefusal:
+    """The channels `eve_information` refuses, per attack and direction."""
+
+    @pytest.mark.parametrize(
+        "gain, chi, message",
+        [
+            (0.5, 0.99, "loss vacuum floor"),
+            (0.5, 1.0 - 2e-12, "loss vacuum floor"),
+            (0.5, 1.0 - 5e-13, None),
+            (2.0, 0.4, "amplifier quantum floor"),
+            (0.99, 1e-3, "loss vacuum floor"),
+            # an earlier gain clamp's band: |G-1| < 1e-4 and 1e-9 < chi < ~1e-4
+            *[(g, chi, "amplifier quantum floor") for g, chi in NEAR_UNITY],
+            (1.0, 5e-5, "amplifier quantum floor"),
+            (1.0, 0.0, None),
+            (1.0, 1e-9, None),
+            (1.0, 1e-3, None),
+            (0.99995, 0.0, None),
+        ],
+    )
+    def test_refused_set(self, gain, chi, message):
+        chan = EffectiveChannel(gain, chi)
+        for attack, direction in itertools.product(Attack, Direction):
+            if message is None or (attack is Attack.INDIVIDUAL and direction is Direction.DIRECT):
+                assert math.isfinite(eve_information(chan, 40.0, attack, direction))
+            else:
+                with pytest.raises(ValueError, match=message):
+                    eve_information(chan, 40.0, attack, direction)
+
+    def test_noise_just_below_the_floor_is_taken_at_the_floor(self):
+        # the dilation's EPR variance max(G chi/|G-1|, 1) realizes max(chi, floor);
+        # the band spares G = 0.99995 with chi = 0, and 5e-13 is within tolerance
+        for gain, chi in ((0.99995, 0.0), (0.5, 1.0 - 5e-13), (2.0, 0.5 - 5e-13)):
+            for detection, attack, direction in ROUTES:
+                chan = EffectiveChannel(gain, chi, detection)
+                assert eve_information(chan, 40.0, attack, direction) == pytest.approx(
+                    mp_eve(chan, 40.0, attack, direction), abs=1e-12
+                )
