@@ -198,6 +198,9 @@ def parse_config(raw: dict) -> dict:
     fmt = out_raw.get("format", "csv")
     if fmt not in ("csv", "json", "both"):
         raise ConfigError("output.format: must be 'csv', 'json' or 'both'")
+    out_path = out_raw.get("path", "run")
+    if not isinstance(out_path, str) or not out_path or "\0" in out_path:
+        raise ConfigError(f"output.path: expected a file name, got {out_path!r}")
 
     return {
         "channel": ch,
@@ -207,7 +210,7 @@ def parse_config(raw: dict) -> dict:
         "n": n,
         "seed": seed,
         "qkd": qkd_cfg,
-        "out_path": out_raw.get("path", "run"),
+        "out_path": out_path,
         "out_format": fmt,
     }
 
@@ -289,30 +292,27 @@ def mc_counterparts(
     erasing = gamma >= feedforward.MIN_ERASING_GAMMA
     out = {}
 
-    def draw(tap, plan, offset, replicates=False):
+    def draw(tap, plan, offset):
         return montecarlo.windowed_moments(
-            ch, tap, GAIN_PROBE_MEAN, None, n, batch_seed(seed, offset),
-            plan=plan, replicates=replicates,
+            ch, tap, GAIN_PROBE_MEAN, None, n, batch_seed(seed, offset), plan=plan
         )
 
     def noise(moments, gain, where="signal"):
         return _avg(montecarlo.estimate_added_noise(moments, gain, where))
 
-    zero_window = {"zero_window_added_noise", "zero_window_gain"}
     if want & {
-        "added_noise_uncorrected", "excess_noise",
-        "receiver_added_noise_no_ff", "channel_gain_uncorrected", *zero_window,
+        "added_noise_uncorrected", "excess_noise", "receiver_added_noise_no_ff",
+        "channel_gain_uncorrected", "zero_window_added_noise", "zero_window_gain",
     }:
-        base = draw(het, None, 0, replicates=bool(want & zero_window))
+        base = draw(het, None, 0)
         value, err = noise(base, ch.eta)
         out["added_noise_uncorrected"] = (value, err)
         out["excess_noise"] = (value - (1.0 - ch.eta) / ch.eta, err)
         out["receiver_added_noise_no_ff"] = noise(base, ch.eta, "receiver")
         out["channel_gain_uncorrected"] = montecarlo.estimate_gain(base, GAIN_PROBE_MEAN)
-        if want & zero_window:
-            zero = montecarlo.estimate_zero_window(base, GAIN_PROBE_MEAN)
-            out["zero_window_added_noise"] = _avg((zero["added_noise_x"], zero["added_noise_p"]))
-            out["zero_window_gain"] = zero["gain"]
+        zero = montecarlo.estimate_zero_window(base, GAIN_PROBE_MEAN)
+        out["zero_window_added_noise"] = _avg((zero["added_noise_x"], zero["added_noise_p"]))
+        out["zero_window_gain"] = zero["gain"]
 
     if erasing and want & {"added_noise_hom_ff", "gain_hom_ff"}:
         plan = feedforward.plan_erasing_homodyne(ch, hom)
@@ -433,6 +433,12 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    for field, unused in (
+        ("window", cfg["window"]), ("qkd", cfg["qkd"]),
+        ("strategy", cfg["strategy"] != "none"), ("output.format", cfg["out_format"] != "csv"),
+    ):
+        if unused:
+            raise ConfigError(f"{field}: sweep does not use this field")
     axis = args.axis
     if axis not in ("eta", "v_env", "gamma"):
         raise ConfigError("axis: must be one of eta, v_env, gamma")
@@ -595,8 +601,8 @@ def _preset_fig5(n: int, seed: int):
 TABLE1_GAMMAS = (0.92, 0.82, 0.68, 0.48, 0.2)
 
 
-def _read_measured(path: str) -> dict:
-    """gamma -> (v_x, v_p, gain) from a CSV whose first line is a header."""
+def _read_measured(path: str, sigma: float) -> dict:
+    """gamma -> table1's measured cells: v_x, v_p, gain, then each noise's key rates."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -616,7 +622,15 @@ def _read_measured(path: str) -> dict:
                 f"--measured: line {lineno}: expected finite numbers gamma,v_x,v_p,gain,"
                 f" got {line.strip()!r}"
             )
-        measured[values[0]] = tuple(values[1:])
+        gamma, v_x, v_p, gain = values[:4]
+        cells = [v_x, v_p, gain]
+        for noise in (v_x, v_p):
+            try:
+                k = qkd.key_rate(EffectiveChannel(gain, noise), sigma, Attack.COLLECTIVE)
+            except ValueError as exc:
+                raise ConfigError(f"--measured: line {lineno}: {exc}") from None
+            cells += [k.k_direct, k.k_direct_asymptotic]
+        measured[gamma] = cells
     return measured
 
 
@@ -628,7 +642,7 @@ def _preset_table1(n: int, seed: int, measured_path: str = ""):
     header = ["gamma", "v_add_theory", "gain_theory", *KEY_RATES]
     measured = {}
     if measured_path:
-        measured = _read_measured(measured_path)
+        measured = _read_measured(measured_path, sigma)
         header += [
             "v_add_x_measured", "v_add_p_measured", "gain_measured",
             "k_x_measured", "k_x_measured_asymptotic",
@@ -643,14 +657,7 @@ def _preset_table1(n: int, seed: int, measured_path: str = ""):
             *(getattr(report, name) for name in KEY_RATES),
         ]
         if measured_path:
-            if gamma in measured:
-                vx, vp, g_meas = measured[gamma]
-                row += [vx, vp, g_meas]
-                for noise in (vx, vp):
-                    k = qkd.key_rate(EffectiveChannel(g_meas, noise), sigma, Attack.COLLECTIVE)
-                    row += [k.k_direct, k.k_direct_asymptotic]
-            else:
-                row += [""] * 7
+            row += measured.get(gamma, [""] * 7)
         rows.append(row)
     summary = {
         "eta": 0.9,
@@ -724,6 +731,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # config and --measured reads raise ConfigError; this is a write
+        print(f"config error: --out/output.path: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except HeraldNoYieldError as exc:
         print(f"no yield: {exc} (success_prob={exc.success_prob})", file=sys.stderr)

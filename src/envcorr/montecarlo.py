@@ -19,15 +19,14 @@ Record columns, in order:
 Each trajectory is 10 standard normals Z pushed through `_apply_optics`.
 The estimators need only the count, mean and scatter of the MOMENT_COLUMNS,
 which are Y = A Z + b; `affine_map` reads (A, b) off `_apply_optics`. So
-every batch is reduced to one or more blocks of (count, mean of Z, scatter
-of Z), which are pooled and mapped once through (A, b).
+every batch is reduced to one block of (count, mean of Z, scatter of Z),
+which is mapped once through (A, b).
 
-- Window-free batches draw one block per `_replicate_edges` block from
-  exact sufficient statistics. For m iid draws the mean of Z is N(0, I/m)
-  and, independently, its scatter is Wishart(I, m - 1), so a block takes 10
-  normals for the mean and a Bartlett factor of the scatter (10
-  chi-squares, 45 normals) instead of 10 m normals. Blocks of 10 or fewer
-  draw Z explicitly.
+- Window-free batches draw their block from exact sufficient statistics.
+  For m iid draws the mean of Z is N(0, I/m) and, independently, its
+  scatter is Wishart(I, m - 1), so a batch takes 10 normals for the mean
+  and a Bartlett factor of the scatter (10 chi-squares, 45 normals) instead
+  of 10 m normals. Batches of 10 or fewer draw Z explicitly.
 - Heralded (windowed) batches draw 2 normals per trajectory. The tap
   read-out t = T Z + c is read off `_apply_optics` like (A, b). With
   Q R = T^T (complete QR), u = Q[:, :2]^T Z ~ N(0, I2) fixes t = R[:2]^T u
@@ -241,35 +240,29 @@ def sample(
 # -- statistics of the draws ----------------------------------------------------
 
 
-def _normal_statistics(rng: np.random.Generator, sizes: np.ndarray, dim: int):
-    """Mean (k, dim) and scatter (k, dim, dim) of each block's draws.
+def _normal_statistics(rng: np.random.Generator, m: int, dim: int):
+    """Mean (dim,) and scatter (dim, dim) of m >= 1 iid N(0, I_dim) draws.
 
-    Block j holds sizes[j] iid N(0, I_dim) vectors. When every block has more
-    than dim, the mean is drawn as N(0, I/m) and the scatter as Wishart(I,
+    For m > dim the mean is drawn as N(0, I/m) and the scatter as Wishart(I,
     m - 1) by Bartlett decomposition, L L^T with L lower triangular, L_ii^2 ~
-    chi^2(m - 1 - i) and N(0, 1) below the diagonal: first the k means, then
-    the sub-diagonal normals, then the chi-squares. Otherwise each block's
-    vectors are drawn and reduced.
+    chi^2(m - 1 - i) and N(0, 1) below the diagonal: first the mean, then the
+    sub-diagonal normals, then the chi-squares. Otherwise the m vectors are
+    drawn and reduced.
     """
-    k = len(sizes)
-    if sizes.min() > dim:
-        m = sizes.astype(float)
-        means = rng.standard_normal((k, dim)) / np.sqrt(m)[:, None]
+    if m > dim:
+        mean = rng.standard_normal(dim) / np.sqrt(m)
         lower, diag = _BARTLETT[dim]
-        factor = np.zeros((k, dim, dim))
-        factor[:, lower[0], lower[1]] = rng.standard_normal((k, len(lower[0])))
-        factor[:, diag, diag] = np.sqrt(rng.chisquare(m[:, None] - 1.0 - diag))
-        return means, factor @ factor.transpose(0, 2, 1)
-    means, scatters = np.zeros((k, dim)), np.zeros((k, dim, dim))
-    for j, m in enumerate(sizes):
-        z = rng.standard_normal((m, dim))
-        means[j] = z.mean(axis=0) if m else 0.0
-        scatters[j] = (z - means[j]).T @ (z - means[j])
-    return means, scatters
+        factor = np.zeros((dim, dim))
+        factor[lower] = rng.standard_normal(len(lower[0]))
+        factor[diag, diag] = np.sqrt(rng.chisquare(m - 1.0 - diag))
+        return mean, factor @ factor.T
+    z = rng.standard_normal((m, dim))
+    mean = z.mean(axis=0)
+    return mean, (z - mean).T @ (z - mean)
 
 
 def _accepted_statistics(ch, tap, input_mean, window, n: int, seed: int):
-    """Count (1,), mean (1, NORMALS) and scatter of the accepted draws of Z.
+    """Count, mean (NORMALS,) and scatter of the accepted draws of Z.
 
     Shards draw u only and reduce the accepted offsets d = u - u0 from the
     window centre with the window mask as weights, pooled shard by shard; the
@@ -288,35 +281,24 @@ def _accepted_statistics(ch, tap, input_mean, window, n: int, seed: int):
         count = np.count_nonzero(keep)
         shard_mean = d @ keep / max(count, 1)
         d -= shard_mean[:, None]
+        # Chan merge of the running block and the shard's
         counts, means = np.array([m, count]), np.array([offset, shard_mean])
-        m, offset, s_uu = _pool(counts, means, np.array([s_uu, (d * keep) @ d.T]))
+        m = int(counts.sum())
+        offset = counts @ means / max(m, 1)
+        dev = means - offset
+        s_uu = s_uu + (d * keep) @ d.T + (dev.T * counts) @ dev
     if m == 0:
-        return np.zeros(1, dtype=int), np.zeros((1, NORMALS)), np.zeros((1, NORMALS, NORMALS))
+        return 0, np.zeros(NORMALS), np.zeros((NORMALS, NORMALS))
     # F F^T = S_uu over its positive eigenvalues; m draws span at most m - 1
     values, vectors = np.linalg.eigh(s_uu)
     k = min(int(np.count_nonzero(values > 0.0)), m - 1)
     f = vectors[:, 2 - k :] * np.sqrt(values[2 - k :])
     h = rng.standard_normal((k, NORMALS - 2))
     # w off the k directions of the centred u: m - k iid N(0, I8) draws
-    w_mean, w_scatter = _normal_statistics(rng, np.array([m - k]), NORMALS - 2)
-    mean = np.concatenate([centre + offset, w_mean[0] * np.sqrt((m - k) / m)])
-    scatter = np.block([[s_uu, f @ h], [(f @ h).T, h.T @ h + w_scatter[0]]])
-    return np.array([m]), (q @ mean)[None], (q @ scatter @ q.T)[None]
-
-
-def _pool(counts: np.ndarray, means: np.ndarray, scatters: np.ndarray):
-    """(count, mean, scatter) of the union of blocks: the Chan merge in one step."""
-    n = int(counts.sum())
-    mean = counts @ means / max(n, 1)
-    dev = means - mean
-    return n, mean, scatters.sum(axis=0) + (dev.T * counts) @ dev
-
-
-def _replicate_edges(n: int) -> list[int]:
-    """Boundaries of the zero-window replicate blocks: np.array_split(n, k)."""
-    k = max(2, min(64, n // 512))
-    q, r = divmod(n, k)
-    return [i * q + min(i, r) for i in range(k + 1)]
+    w_mean, w_scatter = _normal_statistics(rng, m - k, NORMALS - 2)
+    mean = np.concatenate([centre + offset, w_mean * np.sqrt((m - k) / m)])
+    scatter = np.block([[s_uu, f @ h], [(f @ h).T, h.T @ h + w_scatter]])
+    return m, q @ mean, q @ scatter @ q.T
 
 
 @dataclass(frozen=True)
@@ -325,8 +307,6 @@ class Moments:
 
     mean and m2 (sum of squared deviations) hold one entry per moment
     column; co holds the (signal, tapped mode) co-moment per quadrature.
-    blocks holds the zero-window replicate blocks, each a (count, mean, m2,
-    co) summary, when they were requested.
     """
 
     n_total: int
@@ -334,7 +314,6 @@ class Moments:
     mean: np.ndarray
     m2: np.ndarray
     co: np.ndarray
-    blocks: tuple = ()
 
     def column(self, name: str) -> tuple[int, float, float]:
         """(count, mean, unbiased variance) of one moment column."""
@@ -354,45 +333,31 @@ def windowed_moments(
     seed: int,
     *,
     plan: Optional[FeedforwardPlan] = None,
-    replicates: bool = False,
 ) -> Moments:
     """Moments of the MOMENT_COLUMNS over n trajectories.
 
     window is None to accept every trajectory, or (x_th, p_th) to accept
     those with |x_tap| <= x_th and |p_tap| <= p_th. plan applies feedforward
-    to the signal. replicates (window None only) also keeps the blocks that
-    `estimate_zero_window` takes its stderr from. Raises ValueError on
-    non-finite moments.
+    to the signal. Raises ValueError on non-finite moments.
 
-    Both kinds of batch yield blocks of (count, mean of Z, scatter of Z)
-    from exact statistics (see the module docstring). The blocks are pooled,
-    and the total (with replicates, each block too) is mapped once through
+    Both kinds of batch yield one block of (count, mean of Z, scatter of Z)
+    from exact statistics (see the module docstring), mapped once through
     `affine_map`.
     """
     _check_n(n)
     seed = _check_seed(seed)
     if window is None:
-        counts = np.diff(_replicate_edges(n))
-        means, scatters = _normal_statistics(_generator(seed), counts, NORMALS)
-    elif replicates:
-        raise ValueError("zero-window replicates need every trajectory (window=None)")
+        count = n
+        mean, scatter = _normal_statistics(_generator(seed), n, NORMALS)
     else:
-        counts, means, scatters = _accepted_statistics(ch, tap, input_mean, window, n, seed)
-    count, mean, scatter = _pool(counts, means, scatters)
-    if not replicates:
-        counts, means, scatters = counts[:0], means[:0], scatters[:0]
-    sizes = [count, *counts.tolist()]
-    z_mean = np.concatenate([mean[None], means])
-    z_scatter = np.concatenate([scatter[None], scatters])
+        count, mean, scatter = _accepted_statistics(ch, tap, input_mean, window, n, seed)
     a, b = affine_map(ch, tap, input_mean, plan)
-    y_mean = z_mean @ a.T + b
-    y_scatter = a @ z_scatter @ a.T
-    m2 = np.diagonal(y_scatter, axis1=1, axis2=2)
-    co = y_scatter[:, _SIG, _TAP_MODE]
+    y_mean = a @ mean + b
+    y_scatter = a @ scatter @ a.T
+    m2, co = np.diagonal(y_scatter), y_scatter[_SIG, _TAP_MODE]
     if not all(np.all(np.isfinite(values)) for values in (y_mean, m2, co)):
         raise ValueError("trajectory moments must be finite")
-    total, *blocks = [(size, y_mean[j], m2[j], co[j]) for j, size in enumerate(sizes)]
-    return Moments(n, *total, tuple(blocks))
+    return Moments(n, count, y_mean, m2, co)
 
 
 # -- estimators ---------------------------------------------------------------
@@ -448,46 +413,40 @@ def estimate_gain(
     return amp * amp, 2.0 * abs(amp) * amp_err
 
 
-def _zero_window_point(summary, input_mean: tuple[float, float]):
-    """(count, mean, m2, co) summary -> (added_noise_x, added_noise_p, power_gain)."""
-    count, mean, m2, co = summary
-    var, cov = m2 / (count - 1), co / (count - 1)
-    amps = []
-    resid = []
-    for quad, mean_in in enumerate(input_mean):
-        s, t = _SIG[quad], _TAP_MODE[quad]
-        slope = cov[quad] / var[t]
-        resid.append(var[s] - cov[quad] ** 2 / var[t])
-        amps.append((mean[s] - slope * mean[t]) / mean_in)
-    amp = 0.5 * (amps[0] + amps[1])
-    gain = amp * amp
-    return float((resid[0] - gain) / gain), float((resid[1] - gain) / gain), float(gain)
-
-
 def estimate_zero_window(moments: Moments, input_mean: tuple[float, float]):
     """Sharp-selection limit estimated by regression, without post-selection.
 
     For jointly Gaussian records, the state conditioned on the tapped-mode
     values has covariance equal to the residual of the linear regression of
     the signal on the tap mode, and mean equal to the regression prediction
-    at tap = 0. Uses every sample; stderr comes from the replicate blocks
-    of moments drawn with replicates=True.
+    at tap = 0. Uses every sample.
+
+    The stderr is the Gaussian regression's, per quadrature: the residual
+    variance r has variance 2 r^2/(m - 1) and, independently of it, the
+    prediction c at tap 0 has variance r (1/m + mean_t^2/m2_t). The gain
+    g = amp^2, amp = (c_x/mu_x + c_p/mu_p)/2, and the noise r/g - 1 carry
+    them by the delta method.
 
     Returns {"added_noise_x": (v, err), "added_noise_p": (v, err),
              "gain": (g, err)}.
     """
     if min(abs(input_mean[0]), abs(input_mean[1])) < 5.0:
         raise ValueError("input mean must be >= 5 shot-noise sigma per quadrature")
-    if moments.n_accepted < 1024:
+    m = moments.n_accepted
+    if m < 1024:
         raise ValueError("zero-window regression needs at least 1024 trajectories")
-    if not moments.blocks:
-        raise ValueError("zero-window regression needs moments drawn with replicates=True")
-    total = (moments.n_accepted, moments.mean, moments.m2, moments.co)
-    point = _zero_window_point(total, input_mean)
-    reps = np.array([_zero_window_point(block, input_mean) for block in moments.blocks])
-    errs = np.std(reps, axis=0, ddof=1) / np.sqrt(len(reps))
+    mean, m2 = moments.mean, moments.m2
+    var, cov = m2 / (m - 1), moments.co / (m - 1)
+    s, t, mean_in = _SIG, _TAP_MODE, np.asarray(input_mean, dtype=float)
+    resid = var[s] - cov**2 / var[t]
+    pred = mean[s] - cov / var[t] * mean[t]
+    pred_var = resid * (1.0 / m + mean[t] ** 2 / m2[t])
+    gain = (0.5 * (pred[0] / mean_in[0] + pred[1] / mean_in[1])) ** 2
+    gain_var = gain * np.sum(pred_var / mean_in**2)
+    noise = (resid - gain) / gain
+    noise_err = np.sqrt(2.0 * resid**2 / (m - 1) / gain**2 + resid**2 * gain_var / gain**4)
     return {
-        "added_noise_x": (point[0], float(errs[0])),
-        "added_noise_p": (point[1], float(errs[1])),
-        "gain": (point[2], float(errs[2])),
+        "added_noise_x": (float(noise[0]), float(noise_err[0])),
+        "added_noise_p": (float(noise[1]), float(noise_err[1])),
+        "gain": (float(gain), float(np.sqrt(gain_var))),
     }

@@ -57,7 +57,7 @@ def closure_checks_for_cell(eta, gamma, v, seed):
     hom = TapConfig(gamma, Detector.HOMODYNE_X)
     checks = []
 
-    base = montecarlo.windowed_moments(ch, het, PROBE, None, N_CLOSURE, seed, replicates=True)
+    base = montecarlo.windowed_moments(ch, het, PROBE, None, N_CLOSURE, seed)
     for quad, est in zip("xp", montecarlo.estimate_added_noise(base, eta, "signal")):
         checks.append((f"bare_state_{quad}", (1 - eta) / eta * v, *est))
     for quad, est in zip("xp", montecarlo.estimate_added_noise(base, eta, "receiver")):

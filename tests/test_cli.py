@@ -247,6 +247,35 @@ class TestRun:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 4
         assert "numeric error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via", ["--out", "ENVCORR_OUTDIR"])
+    def test_uncreatable_outdir_named(self, tmp_path, capsys, monkeypatch, via):
+        (tmp_path / "file").write_text("")
+        outdir = str(tmp_path / "file" / "sub")
+        cfg = write_config(tmp_path)
+        args = ["run", str(cfg)]
+        if via == "--out":
+            args += ["--out", outdir]
+        else:
+            monkeypatch.setenv("ENVCORR_OUTDIR", outdir)
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Not a directory" in err
+
+    @pytest.mark.parametrize("path", [["a"], 5, "", "a\0b"], ids=["list", "number", "empty", "nul"])
+    def test_output_path_must_be_a_file_name(self, tmp_path, capsys, path):
+        cfg = write_config(tmp_path, output={"path": path, "format": "csv"})
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "output.path" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+    @pytest.mark.parametrize("path", ["file/out", "dir"], ids=["under-a-file", "onto-a-directory"])
+    def test_unwritable_output_path_named(self, tmp_path, capsys, path):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir.csv").mkdir()
+        cfg = write_config(tmp_path, output={"path": path, "format": "csv"})
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "output.path" in capsys.readouterr().err
+
 
 class TestStrategyTable:
     def test_rows_are_formula_quantities(self):
@@ -466,6 +495,18 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert "--measured" in err and "line 3" in err
 
+    @pytest.mark.parametrize(
+        "row", ["0.92,0.1,0.1,0", "0.92,0.1,0.1,-1.1", "0.92,-0.1,0.1,1.1", "0.92,0.01,0.1,1.1"],
+        ids=["zero-gain", "negative-gain", "negative-noise", "below-amplifier-floor"],
+    )
+    def test_measured_row_the_model_refuses_names_line(self, tmp_path, capsys, row):
+        measured = tmp_path / "measured.csv"
+        measured.write_text(f"gamma,v_add_x,v_add_p,gain\n0.2,1.04,0.94,1.04\n{row}\n")
+        args = ["reproduce", "table1", "--out", str(tmp_path), "--measured", str(measured)]
+        assert cli.main(args) == 2
+        assert "--measured: line 3: " in capsys.readouterr().err
+        assert not (tmp_path / "table1.csv").exists()
+
     def test_measured_header_only_keeps_columns_aligned(self, tmp_path):
         measured = tmp_path / "measured.csv"
         measured.write_text("gamma,v_add_x,v_add_p,gain\n")
@@ -486,7 +527,7 @@ class TestReproduce:
 
 class TestSweep:
     def test_gamma_sweep_reaches_unit_noise(self, tmp_path):
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, strategy="none")
         assert (
             cli.main(
                 [
@@ -503,7 +544,7 @@ class TestSweep:
         assert rows[-1]["improves_het_receiver"] == "true"
 
     def test_eta_sweep_vacuum_environment(self, tmp_path):
-        cfg = write_config(tmp_path, channel={"eta": 0.9, "v_env": 1.0})
+        cfg = write_config(tmp_path, strategy="none", channel={"eta": 0.9, "v_env": 1.0})
         assert (
             cli.main(
                 [
@@ -519,7 +560,7 @@ class TestSweep:
         assert all(float(r["excess_noise"]) == 0.0 for r in rows)
 
     def test_v_sweep_erasing_noise_constant(self, tmp_path):
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, strategy="none")
         assert (
             cli.main(
                 [
@@ -536,7 +577,7 @@ class TestSweep:
         assert len(values) == 1
 
     def test_bad_axis(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, strategy="none")
         assert (
             cli.main(
                 ["sweep", str(cfg), "--axis", "bogus", "--values", "1", "--out", str(tmp_path)]
@@ -546,7 +587,7 @@ class TestSweep:
         assert "axis" in capsys.readouterr().err
 
     def test_bad_values(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, strategy="none")
         assert (
             cli.main(
                 ["sweep", str(cfg), "--axis", "gamma", "--values", "a,b", "--out", str(tmp_path)]
@@ -554,3 +595,22 @@ class TestSweep:
             == 2
         )
         assert "values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("strategy", {"strategy": "optimal"}),
+            ("qkd", {"strategy": "none", "qkd": {"sigma": 40.0}}),
+            ("window", {"strategy": "herald", "window": {"x_th": 1.0, "p_th": 1.0},
+                        "mc": {"n": 10_000}}),
+            ("output.format", {"strategy": "none", "output": {"path": "out", "format": "json"}}),
+            ("output.format", {"strategy": "none", "output": {"path": "out", "format": "both"}}),
+        ],
+        ids=["strategy", "qkd", "window", "json", "both"],
+    )
+    def test_fields_sweep_would_ignore_are_refused(self, tmp_path, capsys, field, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        args = ["sweep", str(cfg), "--axis", "eta", "--values", "0.5", "--out", str(tmp_path)]
+        assert cli.main(args) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))

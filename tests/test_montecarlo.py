@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -65,7 +64,7 @@ def trajectory_moments(ch, tap, input_mean, plan, n, seed, keep=None):
     z = z if keep is None else z[:, keep]
     mean = z.mean(axis=1)
     dev = z - mean[:, None]
-    block = (np.array([z.shape[1]]), mean[None], (dev @ dev.T)[None])
+    block = (z.shape[1], mean, dev @ dev.T)
     with mock.patch.object(montecarlo, "_accepted_statistics", lambda *args: block):
         return windowed_moments(ch, tap, input_mean, OPEN, n, seed, plan=plan)
 
@@ -182,7 +181,7 @@ class TestEstimators:
 
     def test_zero_window_estimator_single_point(self):
         tap = het(0.5)
-        batch = moments(CH, tap, (10.0, 10.0), None, 1_000_000, 71, replicates=True)
+        batch = moments(CH, tap, (10.0, 10.0), None, 1_000_000, 71)
         est = estimate_zero_window(batch, (10.0, 10.0))
         v, sv = est["added_noise_x"]
         g, sg = est["gain"]
@@ -216,6 +215,33 @@ class TestErrorPropagation:
         (_, s_small), _ = estimate_added_noise(small, CH.eta, "signal")
         (_, s_large), _ = estimate_added_noise(large, CH.eta, "signal")
         assert s_small / s_large == pytest.approx(4.0, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "eta, gamma, v_env",
+        [(0.1, 1.0, 1.0), (0.9, 0.6, 25.0)],
+        ids=["tap-mean-dominated", "noisy"],
+    )
+    def test_zero_window_stderr_matches_spread(self, eta, gamma, v_env):
+        # the analytic stderr against the seed-to-seed spread of the point
+        # estimate; at eta 0.1, gamma 1, v_env 1 the mean_t^2/m2_t term is about
+        # 90/91 of the prediction's variance, at the other cell about 30%
+        ch, tap, r = ChannelParams(eta, v_env), het(gamma), 200
+        keys = ("added_noise_x", "added_noise_p", "gain")
+        values, variances = [], []
+        for seed in range(r):
+            est = estimate_zero_window(moments(ch, tap, PROBE, None, 100_000, 70_000 + seed), PROBE)
+            values.append([est[key][0] for key in keys])
+            variances.append([est[key][1] ** 2 for key in keys])
+        values, variances = np.array(values), np.array(variances)
+        # an F-test of the spread against the analytic variance (whose degrees
+        # of freedom are unbounded), two-sided at the 5 sigma level
+        level = 2 * scipy_stats.norm.sf(5.0)
+        dof = r - 1
+        for j, key in enumerate(keys):
+            ratio = np.var(values[:, j], ddof=1) / variances[:, j].mean()
+            spread = scipy_stats.chi2(dof)
+            p = 2 * min(spread.cdf(dof * ratio), spread.sf(dof * ratio))
+            assert p >= level, (key, ratio)
 
     def test_erasing_feedforward_closure(self):
         tap = het(0.8)
@@ -272,15 +298,24 @@ def record_regression(records):
 
 
 def record_zero_window_point(records, input_mean):
-    stats = record_regression(records)
-    amps, resid = [], {}
+    """(noise_x, noise_p, gain) of the regression on the records, and their stderrs."""
+    stats, n = record_regression(records), len(records)
+    amps, amp_vars, resid = [], [], {}
     for quad, mean_in in zip(("x", "p"), input_mean):
-        var_t = stats[f"var_t{quad}"]
+        var_t, mean_t = stats[f"var_t{quad}"], stats[f"mean_t{quad}"]
         slope = stats[f"cov_{quad}"] / var_t
         resid[quad] = stats[f"var_s{quad}"] - stats[f"cov_{quad}"] ** 2 / var_t
-        amps.append((stats[f"mean_s{quad}"] - slope * stats[f"mean_t{quad}"]) / mean_in)
+        amps.append((stats[f"mean_s{quad}"] - slope * mean_t) / mean_in)
+        # the prediction at tap 0 has the regression's intercept variance
+        amp_vars.append(resid[quad] * (1 / n + mean_t**2 / ((n - 1) * var_t)) / mean_in**2)
     gain = (0.5 * (amps[0] + amps[1])) ** 2
-    return (resid["x"] - gain) / gain, (resid["p"] - gain) / gain, gain
+    gain_var = gain * (amp_vars[0] + amp_vars[1])
+    noise_errs = [
+        np.sqrt(2 * r**2 / (n - 1) / gain**2 + r**2 * gain_var / gain**4)
+        for r in (resid["x"], resid["p"])
+    ]
+    point = ((resid["x"] - gain) / gain, (resid["p"] - gain) / gain, gain)
+    return point, (*noise_errs, np.sqrt(gain_var))
 
 
 class TestMomentKernel:
@@ -334,42 +369,29 @@ class TestMomentKernel:
             tracemalloc.stop()
         assert peak < 2**20
         assert out.n_accepted == kept.shape[1]
-        counts, means, scatters = montecarlo._accepted_statistics(
+        count, mean, drawn_scatter = montecarlo._accepted_statistics(
             CH, tap, (3.0, -2.0), window, n, 29
         )
         # back in the tap frame, the first two coordinates are those of u
         q = montecarlo._tap_frame(CH, tap, (3.0, -2.0))[0][:, :2]
         dev = kept - kept.mean(axis=1)[:, None]
-        assert counts.tolist() == [kept.shape[1]]
+        assert count == kept.shape[1]
         scatter = dev @ dev.T
         scale = np.sqrt(np.trace(scatter) / kept.shape[1])
-        assert q.T @ means[0] == pytest.approx(kept.mean(axis=1), rel=1e-12, abs=1e-12 * scale)
-        assert (q.T @ scatters[0] @ q).ravel() == pytest.approx(
+        assert q.T @ mean == pytest.approx(kept.mean(axis=1), rel=1e-12, abs=1e-12 * scale)
+        assert (q.T @ drawn_scatter @ q).ravel() == pytest.approx(
             scatter.ravel(), rel=1e-12, abs=1e-12 * np.trace(scatter)
         )
 
     def test_zero_window_matches_record_regression(self):
         tap, mean_in, n = het(0.6), (10.0, 10.0), 100_000
         records = sample(CH, tap, mean_in, None, n, 19).records
-        # moments mapped from the same draws, with record blocks as replicates
-        drawn = trajectory_moments(CH, tap, mean_in, None, n, 19)
-        blocks = tuple(record_summary(block) for block in np.array_split(records, 64))
-        est = estimate_zero_window(dataclasses.replace(drawn, blocks=blocks), mean_in)
-        point = record_zero_window_point(records, mean_in)
-        reps = np.array(
-            [record_zero_window_point(block, mean_in) for block in np.array_split(records, 64)]
-        )
-        errs = np.std(reps, axis=0, ddof=1) / np.sqrt(len(reps))
+        # moments mapped from the same draws against the regression on the records
+        est = estimate_zero_window(trajectory_moments(CH, tap, mean_in, None, n, 19), mean_in)
+        point, errs = record_zero_window_point(records, mean_in)
         for i, key in enumerate(("added_noise_x", "added_noise_p", "gain")):
             assert est[key][0] == pytest.approx(point[i], rel=1e-12)
             assert est[key][1] == pytest.approx(errs[i], rel=1e-12)
-
-    def test_zero_window_needs_replicates(self):
-        with pytest.raises(ValueError, match="replicates"):
-            drawn = moments(CH, het(0.5), (10.0, 10.0), None, 10_000, 3)
-            estimate_zero_window(drawn, (10.0, 10.0))
-        with pytest.raises(ValueError, match="window"):
-            windowed_moments(CH, het(0.5), (10.0, 10.0), (1.0, 1.0), 10_000, 3, replicates=True)
 
     def test_non_finite_moments_rejected(self):
         # squares of 1e154-scale environment terms overflow the m2 sums, on
@@ -389,8 +411,7 @@ def exact_moments(a, b, n):
     cov = a @ a.T
     m2 = np.diag(cov) * (n - 1)
     co = np.array([cov[0, 4], cov[1, 5]]) * (n - 1)
-    summary = (n, b, m2, co)
-    return Moments(n, n, b, m2, co, (summary, summary))
+    return Moments(n, n, b, m2, co)
 
 
 def hom(gamma):
@@ -449,25 +470,16 @@ class TestSufficientSampler:
         for value, formula in checks:
             assert value == pytest.approx(formula, rel=1e-12, abs=1e-12)
 
-    def test_total_does_not_depend_on_replicates(self):
-        a = moments(CH, het(0.5), PROBE, None, 70_000, 9, replicates=True)
-        b = moments(CH, het(0.5), PROBE, None, 70_000, 9)
-        assert (a.n_accepted, a.mean.tobytes(), a.m2.tobytes(), a.co.tobytes()) == (
-            b.n_accepted, b.mean.tobytes(), b.m2.tobytes(), b.co.tobytes()
-        )
-        assert len(a.blocks) == 64 and not b.blocks
-        assert sum(block[0] for block in a.blocks) == 70_000
-
     def test_seed_determinism(self):
         a = moments(CH, het(0.5), PROBE, None, 10**6, 4)
         b = moments(CH, het(0.5), PROBE, None, 10**6, 4)
         c = moments(CH, het(0.5), PROBE, None, 10**6, 5)
         assert a.m2.tobytes() == b.m2.tobytes() != c.m2.tobytes()
 
-    @pytest.mark.parametrize("n", [2, 5, 21, 22, 40])
+    @pytest.mark.parametrize("n", [2, 5, 10, 11, 40])
     def test_small_batches_have_the_exact_laws(self, n):
-        # n <= 21 splits into blocks of at most 10 draws, which are drawn
-        # explicitly; from 22 on every block takes the Bartlett route
+        # batches of at most 10 draws are drawn explicitly; from 11 on the
+        # batch takes the Bartlett route
         tap, plan = het(0.5), plan_erasing_heterodyne(CH, het(0.5))
         a, b = affine_map(CH, tap, PROBE, plan)
         var = np.diag(a @ a.T)
@@ -485,9 +497,8 @@ class TestSufficientSampler:
             assert scipy_stats.kstest(column, scipy_stats.chi2(n - 1).cdf).pvalue > level
 
     def test_single_trajectory(self):
-        drawn = moments(CH, het(0.5), PROBE, None, 1, 3, replicates=True)
-        assert drawn.n_accepted == 1 and np.all(drawn.m2 == 0)
-        assert [block[0] for block in drawn.blocks] == [1, 0]
+        drawn = moments(CH, het(0.5), PROBE, None, 1, 3)
+        assert drawn.n_accepted == 1 and np.all(drawn.m2 == 0) and np.all(drawn.co == 0)
         with pytest.raises(ValueError, match="two samples"):
             drawn.column("x_sig")
 
@@ -508,7 +519,7 @@ def estimator_outputs(drawn, kind, plan):
     out = [v for pair in estimate_added_noise(drawn, gain) for v in pair]
     out += [v for pair in estimate_added_noise(drawn, gain, "receiver") for v in pair]
     out += estimate_gain(drawn, PROBE)
-    if drawn.blocks:
+    if kind == "none":
         out += [v for pair in estimate_zero_window(drawn, PROBE).values() for v in pair]
     return out
 
@@ -526,23 +537,16 @@ class TestSamplerEquivalence:
             ("erasing-het", het(0.6), plan_erasing_heterodyne),
             ("optimal", het(0.6), plan_optimal_heterodyne),
         ],
-        ids=["none-replicates", "erasing-hom", "erasing-het", "optimal"],
+        ids=["none-zero-window", "erasing-hom", "erasing-het", "optimal"],
     )
     def test_estimators_agree(self, kind, tap, planner):
         plan = planner(CH, tap) if planner else None
-        replicates = kind == "none"
         sufficient, trajectories = [], []
         for r in range(self.R):
-            drawn = moments(CH, tap, PROBE, plan, self.N, 50_000 + r, replicates=replicates)
+            drawn = moments(CH, tap, PROBE, plan, self.N, 50_000 + r)
             sufficient.append(estimator_outputs(drawn, kind, plan))
             records = sample(CH, tap, PROBE, plan, self.N, r).records
-            total = record_summary(records)
-            blocks = ()
-            if replicates:
-                blocks = tuple(
-                    record_summary(block) for block in np.array_split(records, len(drawn.blocks))
-                )
-            reference = Moments(self.N, self.N, *total[1:], blocks)
+            reference = Moments(self.N, self.N, *record_summary(records)[1:])
             trajectories.append(estimator_outputs(reference, kind, plan))
         sufficient, trajectories = np.array(sufficient), np.array(trajectories)
         # a two-sided 5 sigma level for both the means and the F-test
@@ -632,11 +636,11 @@ class TestHeraldedSampler:
         for seed in range(300):
             _, x, p = heralded_readouts(CH, tap, PROBE, n, seed)
             half = np.sort(np.maximum(np.abs(x), np.abs(p)))[accepted - 1]
-            counts, means, scatters = montecarlo._accepted_statistics(
+            count, mean, scatter = montecarlo._accepted_statistics(
                 CH, tap, PROBE, (half, half), n, seed
             )
-            assert counts.tolist() == [accepted]
-            mean, scatter = q.T @ means[0], q.T @ scatters[0] @ q
+            assert count == accepted
+            mean, scatter = q.T @ mean, q.T @ scatter @ q
             s_uu, s_uw, s_ww = scatter[:2, :2], scatter[:2, 2:], scatter[2:, 2:]
             mean_sq.append(accepted * mean[2:] @ mean[2:])
             scatter_tr.append(np.trace(s_ww))
