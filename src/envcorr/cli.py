@@ -310,9 +310,10 @@ def mc_counterparts(
         out["excess_noise"] = (value - (1.0 - ch.eta) / ch.eta, err)
         out["receiver_added_noise_no_ff"] = noise(base, ch.eta, "receiver")
         out["channel_gain_uncorrected"] = montecarlo.estimate_gain(base, GAIN_PROBE_MEAN)
-        zero = montecarlo.estimate_zero_window(base, GAIN_PROBE_MEAN)
-        out["zero_window_added_noise"] = _avg((zero["added_noise_x"], zero["added_noise_p"]))
-        out["zero_window_gain"] = zero["gain"]
+        if want & {"zero_window_added_noise", "zero_window_gain"}:
+            zero = montecarlo.estimate_zero_window(base, GAIN_PROBE_MEAN)
+            out["zero_window_added_noise"] = _avg((zero["added_noise_x"], zero["added_noise_p"]))
+            out["zero_window_gain"] = zero["gain"]
 
     if erasing and want & {"added_noise_hom_ff", "gain_hom_ff"}:
         plan = feedforward.plan_erasing_homodyne(ch, hom)
