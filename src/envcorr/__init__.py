@@ -3,7 +3,6 @@
 from .channel import ChannelParams, Detector, TapConfig
 from .feedforward import FeedforwardPlan
 from .herald import HeraldNoYieldError, HeraldWindow
-from .montecarlo import TrajectoryBatch
 from .qkd import Attack, Detection, Direction, EffectiveChannel, KeyRateReport
 from .states import GaussianState
 
@@ -20,7 +19,6 @@ __all__ = [
     "HeraldWindow",
     "KeyRateReport",
     "TapConfig",
-    "TrajectoryBatch",
 ]
 
 __version__ = "0.1.0"

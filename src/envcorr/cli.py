@@ -58,6 +58,14 @@ STRATEGIES = {
     )),
 }
 DETECTORS = {d.value: d for d in Detector}
+# strategy -> the tap detector its formulas and Monte Carlo batches assume;
+# "none" reads no tap, so it takes any detector
+STRATEGY_DETECTORS = {
+    "erasing-hom": Detector.HOMODYNE_X,
+    "erasing-het": Detector.HETERODYNE,
+    "optimal": Detector.HETERODYNE,
+    "herald": Detector.HETERODYNE,
+}
 
 
 class ConfigError(Exception):
@@ -149,10 +157,10 @@ def parse_config(raw: dict) -> dict:
     strategy = raw.get("strategy", "none")
     if strategy not in STRATEGIES:
         raise ConfigError(f"strategy: must be one of {tuple(STRATEGIES)}")
-    if strategy == "herald" and tap.detector is not Detector.HETERODYNE:
+    needed = STRATEGY_DETECTORS.get(strategy, tap.detector)
+    if tap.detector is not needed:
         raise ConfigError(
-            "tap.detector: strategy 'herald' post-selects both tap quadratures, "
-            "so it needs 'heterodyne'"
+            f"tap.detector: strategy {strategy!r} reads a {needed.value!r} tap, got {det_name!r}"
         )
 
     window = None
@@ -415,7 +423,9 @@ def cmd_run(args) -> int:
         except ValueError:
             rows.append(context + ["k_rates", "no_deterministic_dilation", "", ""])
         else:
-            if report is not None:
+            if report is None:
+                rows.append(context + ["k_rates", "infinite_added_noise", "", ""])
+            else:
                 for name in KEY_RATES:
                     rows.append(context + [name, getattr(report, name), "", ""])
 
@@ -578,11 +588,7 @@ def _preset_fig5(n: int, seed: int):
         tap = TapConfig(gamma, Detector.HETERODYNE)
         no_sel = feedforward.receiver_added_noise(ch, tap, False)
         for scale in FIG5_SCALES:
-            window = (
-                HeraldWindow(math.inf, math.inf)
-                if math.isinf(scale)
-                else herald.scaled_window(ch, tap, scale)
-            )
+            window = herald.scaled_window(ch, tap, scale)
             result = herald.heralded_statistics(ch, tap, window, n, seed)
             rows.append([
                 target, v_env, scale, result.success_prob,
@@ -624,6 +630,9 @@ def _read_measured(path: str, sigma: float) -> dict:
                 f" got {line.strip()!r}"
             )
         gamma, v_x, v_p, gain = values[:4]
+        if gamma not in TABLE1_GAMMAS or gamma in measured:
+            problem = "repeats an earlier row" if gamma in measured else "is not a table1 gamma"
+            raise ConfigError(f"--measured: line {lineno}: gamma {gamma:g} {problem}")
         cells = [v_x, v_p, gain]
         for noise in (v_x, v_p):
             try:

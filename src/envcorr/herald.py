@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from . import montecarlo
 from .channel import ChannelParams, Detector, TapConfig
 
+# coherent input of every heralded batch; the gain is read off its first-moment transfer
+PROBE_MEAN = (6.0, 6.0)
+
 
 @dataclass(frozen=True)
 class HeraldWindow:
@@ -30,10 +33,9 @@ class HeraldWindow:
 class HeraldNoYieldError(RuntimeError):
     """Raised when post-selection keeps too few trajectories to estimate."""
 
-    def __init__(self, message: str, success_prob: float, n_total: int):
+    def __init__(self, message: str, success_prob: float):
         super().__init__(message)
         self.success_prob = success_prob
-        self.n_total = n_total
 
 
 def zero_window_added_noise(ch: ChannelParams, tap: TapConfig) -> float:
@@ -92,32 +94,30 @@ def heralded_statistics(
     window: HeraldWindow,
     n: int,
     seed: int,
-    input_mean: tuple[float, float] = (6.0, 6.0),
 ) -> HeraldResult:
     """Monte Carlo estimate of the heralded channel over accepted trajectories.
 
     The receiver's heterodyne read-out variance, input-referred against the
     gain estimated from the accepted first moments, gives the added noise.
-    Deterministic in (inputs, seed). Raises HeraldNoYieldError when fewer
-    than two trajectories survive.
+    The input is the coherent state of mean PROBE_MEAN. Deterministic in
+    (inputs, seed). Raises HeraldNoYieldError when fewer than two
+    trajectories survive.
     """
     if n < 10_000:
         raise ValueError("heralded statistics needs n >= 10^4")
     if tap.detector is not Detector.HETERODYNE:
         raise ValueError("heralding post-selects dual-quadrature tap outcomes")
     moments = montecarlo.windowed_moments(
-        ch, tap, input_mean, (window.x_th, window.p_th), n, seed
+        ch, tap, PROBE_MEAN, (window.x_th, window.p_th), n, seed
     )
     m = moments.n_accepted
     success = m / n
     if m < 2:
-        raise HeraldNoYieldError(
-            f"acceptance window kept {m} of {n} trajectories", success, n
-        )
+        raise HeraldNoYieldError(f"acceptance window kept {m} of {n} trajectories", success)
 
     amps = []
     variances = {}
-    for quad, mean_in in zip(("x", "p"), input_mean):
+    for quad, mean_in in zip(("x", "p"), PROBE_MEAN):
         _, mean, variances[quad] = moments.column(f"{quad}_recv")
         amps.append((mean / mean_in, math.sqrt(variances[quad] / m) / abs(mean_in)))
     amp = 0.5 * (amps[0][0] + amps[1][0])

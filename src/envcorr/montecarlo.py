@@ -80,26 +80,6 @@ _SIG, _TAP_MODE = [0, 1], [4, 5]
 _BARTLETT = {dim: (np.tril_indices(dim, -1), np.arange(dim)) for dim in (NORMALS, NORMALS - 2)}
 
 
-@dataclass(frozen=True)
-class TrajectoryBatch:
-    """Sampled quadrature records plus the seed that generated them."""
-
-    records: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        rec = np.asarray(self.records, dtype=float)
-        if rec.ndim != 2 or rec.shape[1] != len(COLUMNS):
-            raise ValueError(f"records must have {len(COLUMNS)} columns")
-        if not np.all(np.isfinite(rec)):
-            raise ValueError("records must be finite")
-        rec.setflags(write=False)
-        object.__setattr__(self, "records", rec)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.records[:, COLUMNS.index(name)]
-
-
 def _check_seed(seed: int) -> int:
     seed = int(seed)
     if not 0 <= seed < 2**64:
@@ -225,8 +205,11 @@ def sample(
     plan: Optional[FeedforwardPlan],
     n: int,
     seed: int,
-) -> TrajectoryBatch:
-    """Draw n raw trajectory records; deterministic in (inputs, seed)."""
+) -> np.ndarray:
+    """Draw n raw trajectory records; deterministic in (inputs, seed).
+
+    Returns an (n, len(COLUMNS)) array whose columns are in COLUMNS order.
+    """
     _check_n(n)
     seed = _check_seed(seed)
     records = np.empty((n, len(COLUMNS)))
@@ -234,7 +217,7 @@ def sample(
         cols = _apply_optics(ch, tap, input_mean, plan, draws)
         for j, col in enumerate(cols):
             records[start : start + draws.shape[1], j] = col
-    return TrajectoryBatch(records, seed)
+    return records
 
 
 # -- statistics of the draws ----------------------------------------------------
@@ -309,7 +292,6 @@ class Moments:
     column; co holds the (signal, tapped mode) co-moment per quadrature.
     """
 
-    n_total: int
     n_accepted: int
     mean: np.ndarray
     m2: np.ndarray
@@ -357,7 +339,7 @@ def windowed_moments(
     m2, co = np.diagonal(y_scatter), y_scatter[_SIG, _TAP_MODE]
     if not all(np.all(np.isfinite(values)) for values in (y_mean, m2, co)):
         raise ValueError("trajectory moments must be finite")
-    return Moments(n, count, y_mean, m2, co)
+    return Moments(count, y_mean, m2, co)
 
 
 # -- estimators ---------------------------------------------------------------

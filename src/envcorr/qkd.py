@@ -98,8 +98,6 @@ class KeyRateReport:
     k_reverse: float
     k_direct_asymptotic: float
     k_reverse_asymptotic: float
-    modulation_variance: float
-    attack: Attack
 
 
 def mutual_information(chan: EffectiveChannel, sigma: float) -> float:
@@ -195,6 +193,4 @@ def key_rate(
         k_reverse=rate(sigma, Direction.REVERSE),
         k_direct_asymptotic=rate(ASYMPTOTIC_SIGMA, Direction.DIRECT),
         k_reverse_asymptotic=rate(ASYMPTOTIC_SIGMA, Direction.REVERSE),
-        modulation_variance=sigma,
-        attack=attack,
     )

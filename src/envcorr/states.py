@@ -103,15 +103,6 @@ def splitter_matrix(eta: float, mode_i: int, mode_j: int, n_modes: int) -> np.nd
     return m
 
 
-def displace(state: GaussianState, mode: int, dx: float, dp: float) -> GaussianState:
-    """Shift one mode's mean by (dx, dp); covariance unchanged."""
-    sl = state.quadrature_slice(mode)
-    mean = state.mean.copy()
-    mean[sl.start] += dx
-    mean[sl.start + 1] += dp
-    return GaussianState(mean, state.cov)
-
-
 def partial_trace(state: GaussianState, keep) -> GaussianState:
     """Marginal state of the modes in `keep` (order preserved as given)."""
     keep = list(keep)
@@ -127,22 +118,9 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
-def _gaussian_log_density(diff: np.ndarray, cov: np.ndarray) -> float:
-    # 2D normal log density; cov is 2x2 and positive definite here
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    if det <= 0:
-        raise np.linalg.LinAlgError("outcome covariance not positive definite")
-    quad = (
-        cov[1, 1] * diff[0] ** 2
-        - 2.0 * cov[0, 1] * diff[0] * diff[1]
-        + cov[0, 0] * diff[1] ** 2
-    ) / det
-    return float(-np.log(2.0 * np.pi) - 0.5 * np.log(det) - 0.5 * quad)
-
-
 def condition_heterodyne(
     state: GaussianState, mode: int, outcome: tuple[float, float]
-) -> tuple[GaussianState, float]:
+) -> GaussianState:
     """Condition on a dual-quadrature (heterodyne) outcome on one mode.
 
     The measured mode is removed. With A the measured block, B the rest,
@@ -150,9 +128,6 @@ def condition_heterodyne(
 
         cov -> B - C (A + M)^-1 C^T
         mean -> mean_B + C (A + M)^-1 (outcome - mean_A)
-
-    Returns the conditioned state and the log-likelihood of the outcome,
-    which is normal with mean mean_A and covariance A + M.
     """
     if state.n_modes < 2:
         raise ValueError("need at least one unmeasured mode")
@@ -166,20 +141,17 @@ def condition_heterodyne(
     gain = c @ np.linalg.inv(a)
     cov = b - gain @ c.T
     mean = state.mean[rest] + gain @ diff
-    return GaussianState(mean, 0.5 * (cov + cov.T)), _gaussian_log_density(diff, a)
+    return GaussianState(mean, 0.5 * (cov + cov.T))
 
 
 def condition_homodyne(
     state: GaussianState, mode: int, quadrature: str, outcome: float
-) -> tuple[GaussianState, float]:
+) -> GaussianState:
     """Condition on a sharp single-quadrature (homodyne) outcome.
 
     quadrature is "x" or "p". The measured mode stays in place with the
     measured quadrature pinned to the outcome (zero variance); the rest of
     the state is updated by the Schur complement on that row/column.
-
-    Returns the conditioned state and the log-likelihood of the outcome
-    under its marginal normal distribution.
     """
     if quadrature not in ("x", "p"):
         raise ValueError("quadrature must be 'x' or 'p'")
@@ -195,7 +167,4 @@ def condition_homodyne(
     cov[:, q] = 0.0
     mean = mean.copy()
     mean[q] = outcome
-    loglik = -0.5 * (
-        np.log(2.0 * np.pi * var) + (outcome - state.mean[q]) ** 2 / var
-    )
-    return GaussianState(mean, 0.5 * (cov + cov.T)), float(loglik)
+    return GaussianState(mean, 0.5 * (cov + cov.T))

@@ -27,8 +27,3 @@ def heralded_readouts(ch, tap, input_mean, n, seed):
 def weak_coupling():
     """The reference strongly transmitting, very noisy channel."""
     return ChannelParams(0.9, 25.0), TapConfig(0.92, Detector.HETERODYNE)
-
-
-@pytest.fixture
-def rng():
-    return np.random.default_rng(1234)

@@ -30,6 +30,7 @@ from envcorr.feedforward import (
     receiver_added_noise,
 )
 from envcorr.herald import (
+    PROBE_MEAN,
     HeraldWindow,
     heralded_statistics,
     scaled_window,
@@ -199,7 +200,7 @@ def test_criterion_7_herald_limits():
     started = time.time()
     n, seed = 10_000_000, 77
     ch, tap = ChannelParams(0.9, 25.0), TapConfig(0.7)
-    input_mean = (6.0, 6.0)
+    input_mean = PROBE_MEAN
     scales = (math.inf, 2.0, 1.2, 0.8, 0.4, 0.05)
     ladder = []
     for scale in scales:
@@ -208,7 +209,7 @@ def test_criterion_7_herald_limits():
             if math.isinf(scale)
             else scaled_window(ch, tap, scale)
         )
-        ladder.append(heralded_statistics(ch, tap, window, n, seed, input_mean))
+        ladder.append(heralded_statistics(ch, tap, window, n, seed))
 
     probs = [r.success_prob for r in ladder]
     assert all(a > b for a, b in zip(probs, probs[1:])), probs
@@ -228,7 +229,7 @@ def test_criterion_7_herald_limits():
     # zero-window reference: heterodyne conditioning of the signal on the
     # pre-detector tap mode at outcome (0, 0)
     pair = signal_tap_state(ch, tap, states.coherent(*input_mean))
-    cond, _ = states.condition_heterodyne(pair, 1, (0.0, 0.0))
+    cond = states.condition_heterodyne(pair, 1, (0.0, 0.0))
     gain_pred = (cond.mean[0] / input_mean[0]) * (cond.mean[1] / input_mean[1])
     noise_pred = (cond.cov[0, 0] + 1.0 - gain_pred) / gain_pred
     tight = ladder[-1]

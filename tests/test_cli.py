@@ -22,6 +22,12 @@ def write_config(path: Path, **overrides) -> Path:
     return target
 
 
+def strategy_tap(strategy: str) -> dict:
+    """The default tap with the detector the strategy reads."""
+    detector = "homodyne-x" if strategy == "erasing-hom" else "heterodyne"
+    return {"gamma": 0.92, "detector": detector}
+
+
 def records_forbidden(*args, **kwargs):
     raise AssertionError("the CLI reads moments, never raw records")
 
@@ -73,7 +79,8 @@ class TestRun:
     def test_largest_seed_wraps_batch_seeds(self, tmp_path, strategy):
         extra = {"window": {"x_th": 2.0, "p_th": 2.0}} if strategy == "herald" else {}
         cfg = write_config(
-            tmp_path, strategy=strategy, mc={"n": 10_000, "seed": 2**64 - 1}, **extra
+            tmp_path, tap=strategy_tap(strategy), strategy=strategy,
+            mc={"n": 10_000, "seed": 2**64 - 1}, **extra,
         )
         assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 0
         rows = read_rows(tmp_path / "out.csv")
@@ -200,6 +207,31 @@ class TestRun:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
         assert "tap.detector: strategy 'herald'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("detector", ["heterodyne", "homodyne-x", "homodyne-p"])
+    @pytest.mark.parametrize("strategy", ["none", "erasing-hom", "erasing-het", "optimal"])
+    def test_tap_detector_must_be_the_one_the_strategy_reads(
+        self, tmp_path, capsys, strategy, detector
+    ):
+        cfg = write_config(tmp_path, tap={"gamma": 0.5, "detector": detector}, strategy=strategy)
+        code = cli.main(["run", str(cfg), "--out", str(tmp_path)])
+        if strategy == "none" or strategy_tap(strategy)["detector"] == detector:
+            assert code == 0
+        else:
+            assert code == 2
+            assert f"tap.detector: strategy '{strategy}'" in capsys.readouterr().err
+
+    def test_infinite_noise_writes_a_key_rate_sentinel_row(self, tmp_path):
+        # erasing at gamma = 0 has no finite corrected channel to rate
+        cfg = write_config(
+            tmp_path, tap={"gamma": 0.0, "detector": "homodyne-x"}, strategy="erasing-hom",
+            qkd={"sigma": 40.0},
+        )
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "out.csv")
+        assert rows[-1]["quantity"] == "k_rates"
+        assert rows[-1]["formula"] == "infinite_added_noise"
+        assert not [r for r in rows if r["quantity"] in cli.KEY_RATES]
+
     def test_herald_no_yield_exit_code(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -312,7 +344,10 @@ class TestStrategyTable:
         monkeypatch.setattr(herald, "heralded_statistics", counted_heralded)
         monkeypatch.setattr(montecarlo, "sample", records_forbidden)
         extra = {"window": {"x_th": 2.0, "p_th": 2.0}} if strategy == "herald" else {}
-        cfg = write_config(tmp_path, strategy=strategy, mc={"n": 10_000, "seed": 1}, **extra)
+        cfg = write_config(
+            tmp_path, tap=strategy_tap(strategy), strategy=strategy,
+            mc={"n": 10_000, "seed": 1}, **extra,
+        )
         assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 0
         assert calls == {"kernel": samples, "heralded": int(strategy == "herald")}
         rows = read_rows(tmp_path / "out.csv")
@@ -496,8 +531,15 @@ class TestReproduce:
         assert "--measured" in err and "line 3" in err
 
     @pytest.mark.parametrize(
-        "row", ["0.92,0.1,0.1,0", "0.92,0.1,0.1,-1.1", "0.92,-0.1,0.1,1.1", "0.92,0.01,0.1,1.1"],
-        ids=["zero-gain", "negative-gain", "negative-noise", "below-amplifier-floor"],
+        "row",
+        [
+            "0.92,0.1,0.1,0", "0.92,0.1,0.1,-1.1", "0.92,-0.1,0.1,1.1", "0.92,0.01,0.1,1.1",
+            "0.5,0.1,0.1,1.1", "0.2,1.04,0.94,1.04",
+        ],
+        ids=[
+            "zero-gain", "negative-gain", "negative-noise", "below-amplifier-floor",
+            "gamma-not-in-table", "repeated-gamma",
+        ],
     )
     def test_measured_row_the_model_refuses_names_line(self, tmp_path, capsys, row):
         measured = tmp_path / "measured.csv"
@@ -614,3 +656,65 @@ class TestSweep:
         assert cli.main(args) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+
+def run_argv(tmp_path: Path, **overrides) -> list[str]:
+    return ["run", str(write_config(tmp_path, **overrides)), "--out", str(tmp_path / "out")]
+
+
+def sweep_argv(tmp_path: Path, values: str) -> list[str]:
+    cfg = write_config(tmp_path, strategy="none")
+    args = ["sweep", str(cfg), "--axis", "eta", "--values", values]
+    return [*args, "--out", str(tmp_path / "out")]
+
+
+def measured_argv(tmp_path: Path, data: bytes) -> list[str]:
+    measured = tmp_path / "measured.csv"
+    measured.write_bytes(data)
+    return ["reproduce", "table1", "--out", str(tmp_path / "out"), "--measured", str(measured)]
+
+
+def config_argv(tmp_path: Path, text: str) -> list[str]:
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    return ["run", str(path), "--out", str(tmp_path / "out")]
+
+
+HERALD = {"strategy": "herald", "window": {"x_th": 1.0, "p_th": 1.0}, "mc": {"n": 10_000}}
+
+# case -> (the field the message starts with, the command line whose inputs are
+# written to a directory d and whose outputs would go to d / "out")
+REFUSALS = {
+    "tap-detector": ("tap.detector", lambda d: run_argv(d, tap={"gamma": 0.5, "detector": "eye"})),
+    "tap-gamma": ("tap.gamma", lambda d: run_argv(d, tap={"gamma": 1.5})),
+    "strategy": ("strategy", lambda d: run_argv(d, strategy="perfect")),
+    "window": ("window", lambda d: run_argv(d, **{**HERALD, "window": {"x_th": -1, "p_th": 1}})),
+    "mc-seed": ("mc.seed", lambda d: run_argv(d, mc={"n": 0, "seed": -1})),
+    "herald-without-window": ("window", lambda d: run_argv(d, strategy="herald")),
+    "herald-n-0": ("mc.n", lambda d: run_argv(d, **{**HERALD, "mc": {"n": 0}})),
+    "string-number": ("channel.eta", lambda d: run_argv(d, channel={"eta": "0.9", "v_env": 2})),
+    "bool-number": ("mc.n", lambda d: run_argv(d, mc={"n": True})),
+    "non-object-config": ("config", lambda d: config_argv(d, "[1, 2]")),
+    "qkd-sigma-zero": ("qkd.sigma", lambda d: run_argv(d, qkd={"sigma": 0})),
+    "qkd-sigma-negative": ("qkd.sigma", lambda d: run_argv(d, qkd={"sigma": -40.0})),
+    "qkd-attack": ("qkd.attack", lambda d: run_argv(d, qkd={"attack": "coherent"})),
+    "output-format": ("output.format", lambda d: run_argv(d, output={"format": "xml"})),
+    "unreadable-config": ("config", lambda d: ["run", str(d / "missing.json")]),
+    "sweep-no-values": ("values", lambda d: sweep_argv(d, " , ")),
+    "sweep-value-out-of-range": ("values", lambda d: sweep_argv(d, "0.5,1.5")),
+    "fig5-n-0": ("--n", lambda d: ["reproduce", "fig5", "--out", str(d / "out"), "--n", "0"]),
+    "measured-not-utf8": ("--measured", lambda d: measured_argv(d, b"gamma\n\xff\xfe\n")),
+    "measured-blank-lines-counted": (
+        "--measured: line 4",
+        lambda d: measured_argv(d, b"gamma,v_x,v_p,gain\n\n  \n0.92,x,0.1,1.1\n"),
+    ),
+}
+
+
+@pytest.mark.parametrize("field, make_argv", list(REFUSALS.values()), ids=list(REFUSALS))
+def test_refusal_names_its_field(tmp_path, capsys, field, make_argv):
+    assert cli.main(make_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

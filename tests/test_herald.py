@@ -22,8 +22,8 @@ from conftest import grid_points, heralded_readouts
 def sharp_conditioned_signal(ch, tap, input_mean):
     """Oracle: sharp dual-quadrature conditioning of the signal on the tap mode."""
     pair = signal_tap_state(ch, tap, states.coherent(*input_mean))
-    cond, _ = states.condition_homodyne(pair, 1, "x", 0.0)
-    cond, _ = states.condition_homodyne(cond, 1, "p", 0.0)
+    cond = states.condition_homodyne(pair, 1, "x", 0.0)
+    cond = states.condition_homodyne(cond, 1, "p", 0.0)
     return states.partial_trace(cond, [0])
 
 
@@ -152,7 +152,7 @@ class TestHeraldedStatistics:
         # pre-detector tap mode; checked loosely here, tightly in acceptance
         ch, tap = ChannelParams(0.9, 25.0), TapConfig(0.7)
         pair = signal_tap_state(ch, tap, states.coherent(6.0, 6.0))
-        cond, _ = states.condition_heterodyne(pair, 1, (0.0, 0.0))
+        cond = states.condition_heterodyne(pair, 1, (0.0, 0.0))
         gain_pred = (cond.mean[0] / 6.0) ** 2
         noise_pred = (cond.cov[0, 0] + 1.0 - gain_pred) / gain_pred
         res = heralded_statistics(ch, tap, scaled_window(ch, tap, 0.08), 2_000_000, 17)

@@ -16,13 +16,18 @@ from envcorr.feedforward import (
     plan_optimal_heterodyne,
     receiver_added_noise,
 )
-from envcorr.herald import heralded_statistics, scaled_window, zero_window_added_noise, zero_window_gain
+from envcorr.herald import (
+    PROBE_MEAN,
+    heralded_statistics,
+    scaled_window,
+    zero_window_added_noise,
+    zero_window_gain,
+)
 from envcorr.montecarlo import (
     COLUMNS,
     MOMENT_COLUMNS,
     SHARD_SIZE,
     Moments,
-    TrajectoryBatch,
     affine_map,
     estimate_added_noise,
     estimate_gain,
@@ -41,6 +46,10 @@ def het(gamma):
 CH = ChannelParams(0.9, 25.0)
 OPEN = (np.inf, np.inf)
 PROBE = (10.0, 10.0)
+
+
+def column(records, name):
+    return records[:, COLUMNS.index(name)]
 
 
 def moments(ch, tap, input_mean, plan, n, seed, **kwargs):
@@ -73,18 +82,18 @@ class TestSampler:
     def test_seed_determinism_bytes(self):
         a = sample(CH, het(0.5), (1.0, 2.0), None, 40_000, 9)
         b = sample(CH, het(0.5), (1.0, 2.0), None, 40_000, 9)
-        assert a.records.tobytes() == b.records.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
         a = sample(CH, het(0.5), (0.0, 0.0), None, 10_000, 1)
         b = sample(CH, het(0.5), (0.0, 0.0), None, 10_000, 2)
-        assert a.records.tobytes() != b.records.tobytes()
+        assert a.tobytes() != b.tobytes()
 
     def test_shard_streams_do_not_alias_across_seeds(self):
         # numpy splits seeds of 2^32 and more into 32-bit words, so per-shard
         # keys [seed, i] would make shard 3 of seed 5 equal shard 0 of 5 + 3 * 2^32
-        late = sample(CH, het(0.5), (0.0, 0.0), None, 4 * SHARD_SIZE, 5).records
-        early = sample(CH, het(0.5), (0.0, 0.0), None, SHARD_SIZE, 5 + 3 * 2**32).records
+        late = sample(CH, het(0.5), (0.0, 0.0), None, 4 * SHARD_SIZE, 5)
+        early = sample(CH, het(0.5), (0.0, 0.0), None, SHARD_SIZE, 5 + 3 * 2**32)
         assert late[3 * SHARD_SIZE :].tobytes() != early.tobytes()
 
     def test_normal_generator_quality(self):
@@ -95,36 +104,30 @@ class TestSampler:
         n = 200_000
         batch = sample(ChannelParams(1.0, 1.0), het(1.0), (5.0, 5.0), None, n, 21)
         for col in ("x_in", "p_in"):
-            var = np.var(batch.column(col), ddof=1)
+            var = np.var(column(batch, col), ddof=1)
             stat_sigma = np.sqrt(2.0 / (n - 1))
             assert abs(var - 1.0) < 3 * stat_sigma
-            assert np.mean(batch.column(col)) == pytest.approx(5.0, abs=0.02)
+            assert np.mean(column(batch, col)) == pytest.approx(5.0, abs=0.02)
 
     def test_lossless_channel_passes_mean_through(self):
         batch = sample(ChannelParams(1.0, 25.0), het(0.5), (3.0, -4.0), None, 100_000, 4)
-        assert np.mean(batch.column("x_recv")) == pytest.approx(3.0, abs=0.03)
-        assert np.mean(batch.column("p_recv")) == pytest.approx(-4.0, abs=0.03)
+        assert np.mean(column(batch, "x_recv")) == pytest.approx(3.0, abs=0.03)
+        assert np.mean(column(batch, "p_recv")) == pytest.approx(-4.0, abs=0.03)
 
     def test_receiver_adds_one_unit(self):
         batch = sample(CH, het(0.5), (0.0, 0.0), None, 400_000, 8)
-        v_sig = np.var(batch.column("x_sig"), ddof=1)
-        v_recv = np.var(batch.column("x_recv"), ddof=1)
+        v_sig = np.var(column(batch, "x_sig"), ddof=1)
+        v_recv = np.var(column(batch, "x_recv"), ddof=1)
         assert v_recv - v_sig == pytest.approx(1.0, abs=0.05)
 
     def test_homodyne_p_detector_routes_quadratures(self):
         tap = TapConfig(0.8, Detector.HOMODYNE_P)
         batch = sample(CH, tap, (0.0, 0.0), None, 200_000, 14)
         # X read-out is bare detector vacuum, P carries the tapped mode
-        assert np.var(batch.column("x_tap"), ddof=1) == pytest.approx(1.0, rel=0.05)
-        assert np.var(batch.column("p_tap"), ddof=1) == pytest.approx(
-            np.var(batch.column("p_tap_mode"), ddof=1), rel=0.05
+        assert np.var(column(batch, "x_tap"), ddof=1) == pytest.approx(1.0, rel=0.05)
+        assert np.var(column(batch, "p_tap"), ddof=1) == pytest.approx(
+            np.var(column(batch, "p_tap_mode"), ddof=1), rel=0.05
         )
-
-    def test_batch_validation(self):
-        with pytest.raises(ValueError):
-            TrajectoryBatch(np.full((5, len(COLUMNS)), np.nan), seed=1)
-        with pytest.raises(ValueError):
-            TrajectoryBatch(np.zeros((5, 3)), seed=1)
 
     def test_seed_range_checked(self):
         with pytest.raises(ValueError):
@@ -151,7 +154,7 @@ class TestEstimators:
         (vx, _), _ = estimate_added_noise(
             trajectory_moments(CH, het(0.5), (0.0, 0.0), None, 50_000, 5), 1.0, "signal"
         )
-        direct = np.var(batch.column("x_sig"), ddof=1) - 1.0
+        direct = np.var(column(batch, "x_sig"), ddof=1) - 1.0
         assert vx == pytest.approx(direct, rel=1e-10)
 
     def test_gain_identity_channel(self):
@@ -192,13 +195,27 @@ class TestEstimators:
         tap = het(0.7)
         n, seed = 50_000, 13
         window = scaled_window(CH, tap, 1.0)
-        res = heralded_statistics(CH, tap, window, n, seed, input_mean=(6.0, 6.0))
-        drawn = windowed_moments(CH, tap, (6.0, 6.0), (window.x_th, window.p_th), n, seed)
+        res = heralded_statistics(CH, tap, window, n, seed)
+        drawn = windowed_moments(CH, tap, PROBE_MEAN, (window.x_th, window.p_th), n, seed)
         assert drawn.n_accepted == res.n_accepted
         # the same moments: the estimate reads the receiver columns directly
         (_, mean_x, var_x), (_, mean_p, _) = drawn.column("x_recv"), drawn.column("p_recv")
-        assert res.gain == pytest.approx((0.5 * (mean_x + mean_p) / 6.0) ** 2, rel=1e-12)
+        amp = 0.5 * (mean_x + mean_p) / PROBE_MEAN[0]
+        assert res.gain == pytest.approx(amp**2, rel=1e-12)
         assert var_x == pytest.approx(res.gain * (res.added_noise_x + 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, estimate, message",
+        [
+            (10_000, lambda m: estimate_added_noise(m, 1.0, "tap"), "where must be"),
+            (10_000, lambda m: estimate_zero_window(m, (4.9, 10.0)), "5 shot-noise sigma"),
+            (1023, lambda m: estimate_zero_window(m, PROBE), "at least 1024"),
+        ],
+        ids=["where", "zero-window-probe", "zero-window-count"],
+    )
+    def test_refusals(self, n, estimate, message):
+        with pytest.raises(ValueError, match=message):
+            estimate(moments(CH, het(0.5), PROBE, None, n, 3))
 
     def test_windowed_moments_counts(self):
         tap = het(0.7)
@@ -264,7 +281,7 @@ def _chan(a, b):
 
 def record_moments(batch, name, keep=None):
     """Per-shard (count, mean, m2) of a record column, merged in shard order."""
-    col = batch.column(name)
+    col = column(batch, name)
     total = (0, 0.0, 0.0)
     for start in range(0, len(col), SHARD_SIZE):
         vals = col[start : start + SHARD_SIZE]
@@ -343,9 +360,8 @@ class TestMomentKernel:
         batch = sample(CH, tap, (3.0, -2.0), plan, self.N, 23)
         keep = None
         if windowed:
-            keep = (np.abs(batch.column("x_tap")) <= 1.5) & (np.abs(batch.column("p_tap")) <= 2.0)
+            keep = (np.abs(column(batch, "x_tap")) <= 1.5) & (np.abs(column(batch, "p_tap")) <= 2.0)
         out = trajectory_moments(CH, tap, (3.0, -2.0), plan, self.N, 23, keep)
-        assert out.n_total == self.N
         for name in MOMENT_COLUMNS:
             count, mean, m2 = record_moments(batch, name, keep)
             got_count, got_mean, got_var = out.column(name)
@@ -385,7 +401,7 @@ class TestMomentKernel:
 
     def test_zero_window_matches_record_regression(self):
         tap, mean_in, n = het(0.6), (10.0, 10.0), 100_000
-        records = sample(CH, tap, mean_in, None, n, 19).records
+        records = sample(CH, tap, mean_in, None, n, 19)
         # moments mapped from the same draws against the regression on the records
         est = estimate_zero_window(trajectory_moments(CH, tap, mean_in, None, n, 19), mean_in)
         point, errs = record_zero_window_point(records, mean_in)
@@ -411,7 +427,7 @@ def exact_moments(a, b, n):
     cov = a @ a.T
     m2 = np.diag(cov) * (n - 1)
     co = np.array([cov[0, 4], cov[1, 5]]) * (n - 1)
-    return Moments(n, n, b, m2, co)
+    return Moments(n, b, m2, co)
 
 
 def hom(gamma):
@@ -545,8 +561,8 @@ class TestSamplerEquivalence:
         for r in range(self.R):
             drawn = moments(CH, tap, PROBE, plan, self.N, 50_000 + r)
             sufficient.append(estimator_outputs(drawn, kind, plan))
-            records = sample(CH, tap, PROBE, plan, self.N, r).records
-            reference = Moments(self.N, self.N, *record_summary(records)[1:])
+            records = sample(CH, tap, PROBE, plan, self.N, r)
+            reference = Moments(*record_summary(records))
             trajectories.append(estimator_outputs(reference, kind, plan))
         sufficient, trajectories = np.array(sufficient), np.array(trajectories)
         # a two-sided 5 sigma level for both the means and the F-test
@@ -591,10 +607,10 @@ class TestHeraldedSampler:
             )
             heralded.append(moment_outputs(drawn.n_accepted, drawn.mean, drawn.m2, drawn.co))
             batch = sample(CH, tap, PROBE, plan, self.N, r)
-            keep = (np.abs(batch.column("x_tap")) <= window.x_th) & (
-                np.abs(batch.column("p_tap")) <= window.p_th
+            keep = (np.abs(column(batch, "x_tap")) <= window.x_th) & (
+                np.abs(column(batch, "p_tap")) <= window.p_th
             )
-            records.append(moment_outputs(*record_summary(batch.records[keep])))
+            records.append(moment_outputs(*record_summary(batch[keep])))
         heralded, records = np.array(heralded), np.array(records)
         assert 100 < heralded[:, 0].min()
         # a two-sided 5 sigma level for both the means and the F-test

@@ -74,6 +74,13 @@ class TestMutualInformation:
 
 
 class TestEveInformation:
+    @pytest.mark.parametrize("sigma", [0.0, -40.0])
+    def test_sigma_positive(self, sigma):
+        for attack in Attack:
+            for direction in Direction:
+                with pytest.raises(ValueError, match="modulation variance"):
+                    eve_information(EffectiveChannel(1.0, 0.1), sigma, attack, direction)
+
     def test_identity_channel_gives_nothing(self):
         ident = EffectiveChannel(1.0, 0.0)
         for attack in Attack:
@@ -192,8 +199,9 @@ class TestSecurityReport:
             key_rate(EffectiveChannel(gain, noise), 40.0)
 
     def test_infinite_noise_strategy_skips_rates(self, tmp_path):
-        # erasing at gamma = 0 has infinite added noise: `run` reports no key
-        # rates and draws no Monte Carlo batch for the erasing quantities
+        # erasing at gamma = 0 has infinite added noise: `run` reports a sentinel
+        # row in place of the key rates and draws no Monte Carlo batch for the
+        # erasing quantities
         config = {
             "channel": {"eta": 0.9, "v_env": 25.0},
             "tap": {"gamma": 0.0},
@@ -207,7 +215,8 @@ class TestSecurityReport:
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
         rows = {row["quantity"]: row for row in csv.DictReader(lines[1:])}
-        assert not [name for name in rows if name.startswith("k_")]
+        assert [name for name in rows if name.startswith("k_")] == ["k_rates"]
+        assert rows["k_rates"]["formula"] == "infinite_added_noise"
         assert rows["added_noise_het_state"]["formula"] == "inf"
         for name in ("added_noise_het_state", "receiver_added_noise_ff", "gain_erasing"):
             assert rows[name]["mc_estimate"] == rows[name]["mc_stderr"] == ""
