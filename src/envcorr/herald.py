@@ -20,7 +20,12 @@ PROBE_MEAN = (6.0, 6.0)
 
 @dataclass(frozen=True)
 class HeraldWindow:
-    """Acceptance half-widths per quadrature, each in [0, inf]; (0, 0) marks the analytic limit."""
+    """Acceptance half-widths per quadrature, each in [0, inf].
+
+    A zero window keeps no trajectory; the sharp-selection limit is reported
+    by the zero-window closed forms (`zero_window_added_noise`,
+    `zero_window_gain`) and the regression estimate instead.
+    """
 
     x_th: float
     p_th: float

@@ -29,13 +29,15 @@ which is mapped once through (A, b).
   of 10 m normals. Batches of 10 or fewer draw Z explicitly.
 - Heralded (windowed) batches draw 2 normals per trajectory. The tap
   read-out t = T Z + c is read off `_apply_optics` like (A, b). With
-  Q R = T^T (complete QR), u = Q[:, :2]^T Z ~ N(0, I2) fixes t = R[:2]^T u
-  + c, and w = Q[:, 2:]^T Z ~ N(0, I8) is independent of u. Shards draw u,
-  window t and sum the accepted u: count m, mean, centred scatter S = F F^T
-  (F over the k positive eigenvalues of S). The accepted w then have mean
-  N(0, I8/m), cross scatter with u F H (H: k x 8 standard normals) and
-  scatter H^T H + Wishart(I8, m - 1 - k). Rotated back by Q, that is the
-  batch's one block.
+  Q R = T^T (complete QR), u = Q[:, :2]^T Z ~ N(0, I2) and w = Q[:, 2:]^T Z
+  ~ N(0, I8) are independent. x_tap and p_tap draw on disjoint normals, so
+  R[:2] is diagonal, s, and t = s (u - u0): the window is a box on the
+  offsets d = u - u0. Shards draw u, window d and sum the accepted d:
+  count m, mean, centred scatter S = F F^T (F over the k positive
+  eigenvalues of S). The accepted w then have mean N(0, I8/m), cross
+  scatter with u F H (H: k x 8 standard normals) and scatter H^T H +
+  Wishart(I8, m - 1 - k). Rotated back by Q, that is the batch's one block.
+  A window open in both quadratures keeps all n: its batch is window-free.
 
 Every draw of a batch comes from one generator,
 `default_rng(SeedSequence(seed, spawn_key=(0,)))`, shard after shard.
@@ -155,21 +157,16 @@ def affine_map(
 
 
 def _tap_frame(ch: ChannelParams, tap: TapConfig, input_mean: tuple[float, float]):
-    """(Q, L, u0): the tap read-out of Z is L (u - u0) with u = Q[:, :2]^T Z.
+    """(Q, s, u0): the tap read-out of Z is s (u - u0) with u = Q[:, :2]^T Z.
 
-    Q L^T is the complete QR of T^T (t = T Z + c), and u0 the window centre
-    t = 0. T has rank 2 for every detector: x_tap draws only on x-quadrature
-    normals, p_tap only on p-quadrature ones, and neither row vanishes.
+    Q R is the complete QR of T^T (t = T Z + c), s the diagonal of R[:2] and
+    u0 = -c / s the window centre t = 0. R[:2] is diagonal and s has no zero:
+    x_tap draws only on x-quadrature normals, p_tap only on p-quadrature
+    ones, and neither row vanishes.
     """
     t_map, c = _read_map(ch, tap, input_mean, None, _TAP_INDEX)
     q, r = np.linalg.qr(t_map.T, mode="complete")
-    lower = r[:2].T
-    return q, lower, np.linalg.solve(lower, -c)
-
-
-def _readout(lower: np.ndarray, d: np.ndarray):
-    """Tap read-out (x, p) = L d of the offsets d = u - u0 (2 x size)."""
-    return lower[0, 0] * d[0], lower[1, 0] * d[0] + lower[1, 1] * d[1]
+    return q, np.diagonal(r), -c / np.diagonal(r)
 
 
 # -- draws ----------------------------------------------------------------------
@@ -251,15 +248,13 @@ def _accepted_statistics(ch, tap, input_mean, window, n: int, seed: int):
     window centre with the window mask as weights, pooled shard by shard; the
     rest is drawn from its exact law given those (see the module docstring).
     """
-    q, lower, centre = _tap_frame(ch, tap, input_mean)
-    x_th, p_th = float(window[0]), float(window[1])
+    q, scale, centre = _tap_frame(ch, tap, input_mean)
     rng = _generator(seed)
     m, offset, s_uu = 0, np.zeros(2), np.zeros((2, 2))
     for _, d in _shards(rng, n, 2):
         d -= centre[:, None]
-        x, p = _readout(lower, d)
-        keep = np.abs(x) <= x_th
-        keep &= np.abs(p) <= p_th
+        keep = np.abs(scale[0] * d[0]) <= window[0]
+        keep &= np.abs(scale[1] * d[1]) <= window[1]
         # centre the shard on its accepted mean: a wide window far from u0 loses no digits
         count = np.count_nonzero(keep)
         shard_mean = d @ keep / max(count, 1)
@@ -318,17 +313,20 @@ def windowed_moments(
 ) -> Moments:
     """Moments of the MOMENT_COLUMNS over n trajectories.
 
-    window is None to accept every trajectory, or (x_th, p_th) to accept
-    those with |x_tap| <= x_th and |p_tap| <= p_th. plan applies feedforward
-    to the signal. Raises ValueError on non-finite moments.
+    window is None to accept every trajectory, or (x_th, p_th) in [0, inf]
+    to accept those with |x_tap| <= x_th and |p_tap| <= p_th, a box in the
+    tap's diagonal frame. plan applies feedforward to the signal. Raises
+    ValueError on a NaN or negative half-width and on non-finite moments.
 
     Both kinds of batch yield one block of (count, mean of Z, scatter of Z)
     from exact statistics (see the module docstring), mapped once through
-    `affine_map`.
+    `affine_map`. A window open in both quadratures draws the window-free one.
     """
     _check_n(n)
     seed = _check_seed(seed)
-    if window is None:
+    if window is not None and not (window[0] >= 0.0 and window[1] >= 0.0):
+        raise ValueError("window half-widths must be non-negative numbers")
+    if window is None or window[0] == window[1] == np.inf:
         count = n
         mean, scatter = _normal_statistics(_generator(seed), n, NORMALS)
     else:

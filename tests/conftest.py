@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from envcorr import montecarlo
-from envcorr.channel import ChannelParams, Detector, TapConfig
 
 ETA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 GAMMA_GRID = (0.2, 0.5, 0.8, 1.0)
@@ -17,13 +15,8 @@ def grid_points():
 
 def heralded_readouts(ch, tap, input_mean, n, seed):
     """(u, x_tap, p_tap) of a heralded batch, drawn and read out as its shards do."""
-    _, lower, centre = montecarlo._tap_frame(ch, tap, input_mean)
+    _, scale, centre = montecarlo._tap_frame(ch, tap, input_mean)
     shards = montecarlo._shards(montecarlo._generator(seed), n, 2)
     u = np.hstack([draws.copy() for _, draws in shards])
-    return (u, *montecarlo._readout(lower, u - centre[:, None]))
+    return (u, *(scale[:, None] * (u - centre[:, None])))
 
-
-@pytest.fixture
-def weak_coupling():
-    """The reference strongly transmitting, very noisy channel."""
-    return ChannelParams(0.9, 25.0), TapConfig(0.92, Detector.HETERODYNE)

@@ -31,7 +31,6 @@ from envcorr.feedforward import (
 )
 from envcorr.herald import (
     PROBE_MEAN,
-    HeraldWindow,
     heralded_statistics,
     scaled_window,
     zero_window_added_noise,
@@ -204,12 +203,7 @@ def test_criterion_7_herald_limits():
     scales = (math.inf, 2.0, 1.2, 0.8, 0.4, 0.05)
     ladder = []
     for scale in scales:
-        window = (
-            HeraldWindow(math.inf, math.inf)
-            if math.isinf(scale)
-            else scaled_window(ch, tap, scale)
-        )
-        ladder.append(heralded_statistics(ch, tap, window, n, seed))
+        ladder.append(heralded_statistics(ch, tap, scaled_window(ch, tap, scale), n, seed))
 
     probs = [r.success_prob for r in ladder]
     assert all(a > b for a, b in zip(probs, probs[1:])), probs

@@ -233,13 +233,15 @@ class TestRun:
         assert not [r for r in rows if r["quantity"] in cli.KEY_RATES]
 
     def test_herald_no_yield_exit_code(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            strategy="herald",
-            window={"x_th": 1e-8, "p_th": 1e-8},
-            mc={"n": 10000, "seed": 3},
-        )
-        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 3
+        # a zero window keeps no trajectory: it is not the sharp-selection limit
+        for half in (1e-8, 0):
+            cfg = write_config(
+                tmp_path,
+                strategy="herald",
+                window={"x_th": half, "p_th": half},
+                mc={"n": 10000, "seed": 3},
+            )
+            assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 3
 
     def test_herald_run_emits_statistics(self, tmp_path):
         cfg = write_config(

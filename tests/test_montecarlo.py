@@ -20,6 +20,7 @@ from envcorr.herald import (
     PROBE_MEAN,
     heralded_statistics,
     scaled_window,
+    tap_outcome_std,
     zero_window_added_noise,
     zero_window_gain,
 )
@@ -45,6 +46,8 @@ def het(gamma):
 
 CH = ChannelParams(0.9, 25.0)
 OPEN = (np.inf, np.inf)
+# keeps every trajectory of the batches below, yet is finite, so it is heralded
+WIDE = (1e300, 1e300)
 PROBE = (10.0, 10.0)
 
 
@@ -68,6 +71,7 @@ def trajectory_moments(ch, tap, input_mean, plan, n, seed, keep=None):
 
     keep selects the trajectories (default: all); the block of their Z stands
     in for the heralded sampler's, so only the pooling and the map are tested.
+    The window passed only routes the batch to that sampler; its value is unread.
     """
     z = sample_draws(n, seed)
     z = z if keep is None else z[:, keep]
@@ -75,7 +79,7 @@ def trajectory_moments(ch, tap, input_mean, plan, n, seed, keep=None):
     dev = z - mean[:, None]
     block = (z.shape[1], mean, dev @ dev.T)
     with mock.patch.object(montecarlo, "_accepted_statistics", lambda *args: block):
-        return windowed_moments(ch, tap, input_mean, OPEN, n, seed, plan=plan)
+        return windowed_moments(ch, tap, input_mean, WIDE, n, seed, plan=plan)
 
 
 class TestSampler:
@@ -411,8 +415,8 @@ class TestMomentKernel:
 
     def test_non_finite_moments_rejected(self):
         # squares of 1e154-scale environment terms overflow the m2 sums, on
-        # the sufficient-statistic path (window None) and the trajectory path
-        for window in (None, OPEN):
+        # the sufficient-statistic path (window None) and the heralded path
+        for window in (None, WIDE):
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 ValueError, match="finite"
             ):
@@ -668,9 +672,11 @@ class TestHeraldedSampler:
     def test_open_window_far_from_centre_keeps_its_digits(self):
         # the input mean shifts every read-out and leaves the draws alone, so the
         # moments about the mean stay put; A is read at input mean 0, so only the
-        # window centre and the sums about it see the 1e7 offset
-        near = windowed_moments(CH, het(0.7), (6.0, 6.0), OPEN, 100_000, 3)
-        far = windowed_moments(CH, het(0.7), (1e7, 1e7), OPEN, 100_000, 3)
+        # window centre and the sums about it see the 1e7 offset. WIDE keeps
+        # every trajectory on the heralded path, which OPEN would not take
+        near = windowed_moments(CH, het(0.7), (6.0, 6.0), WIDE, 100_000, 3)
+        far = windowed_moments(CH, het(0.7), (1e7, 1e7), WIDE, 100_000, 3)
+        assert near.n_accepted == far.n_accepted == 100_000
         assert far.m2 == pytest.approx(near.m2, rel=1e-10)
         assert far.co == pytest.approx(near.co, rel=1e-10)
 
@@ -696,3 +702,52 @@ class TestHeraldedSampler:
         assert shapes[:4] == [(2, SHARD_SIZE)] * 3 + [(2, 1234)]
         # then only the batch's exact statistics: H (2 x 8), the w mean and its Bartlett factor
         assert [int(np.prod(shape)) for shape in shapes[4:]] == [16, 8, 28]
+
+    @pytest.mark.parametrize(
+        "tap, planner",
+        [(het(0.7), None), (hom(0.6), None), (het(0.7), plan_optimal_heterodyne)],
+        ids=["het", "hom-x", "het-optimal"],
+    )
+    def test_open_window_draws_the_window_free_block(self, tap, planner):
+        # an open window post-selects nothing: the very block window None draws
+        plan = planner(CH, tap) if planner else None
+        n = 3 * SHARD_SIZE + 1234
+        open_ = windowed_moments(CH, tap, PROBE, OPEN, n, 23, plan=plan)
+        free = windowed_moments(CH, tap, PROBE, None, n, 23, plan=plan)
+        assert open_.n_accepted == free.n_accepted == n
+        for got, want in ((open_.mean, free.mean), (open_.m2, free.m2), (open_.co, free.co)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("window", [(np.inf, 1e300), (1e300, np.inf)], ids=["x", "p"])
+    def test_window_open_in_one_quadrature_is_heralded(self, window):
+        n = 20_000
+        drawn = windowed_moments(CH, het(0.7), PROBE, window, n, 23)
+        free = windowed_moments(CH, het(0.7), PROBE, None, n, 23)
+        assert drawn.n_accepted == n
+        assert drawn.mean.tobytes() != free.mean.tobytes()
+
+    @pytest.mark.parametrize(
+        "window",
+        [(np.nan, 1.0), (1.0, np.nan), (np.inf, np.nan), (-1.0, 2.0), (2.0, -0.5)],
+        ids=["nan-x", "nan-p", "open-nan", "negative-x", "negative-p"],
+    )
+    def test_invalid_window_refused(self, window):
+        with pytest.raises(ValueError, match="non-negative"):
+            windowed_moments(CH, het(0.7), PROBE, window, 10_000, 3)
+
+
+class TestTapFrame:
+    @pytest.mark.parametrize("detector", list(Detector), ids=lambda d: d.value)
+    def test_readout_is_diagonal_in_the_frame(self, detector):
+        # t = T Q (u, w) + c: T Q[:, :2] is exactly diag(s), so the window is a
+        # box on u - u0, and |s| is the read-out's standard deviation
+        for eta, v_env, gamma in [(0.1, 1.0, 0.0), (0.5, 5.0, 0.3), (0.9, 25.0, 1.0)]:
+            ch, tap = ChannelParams(eta, v_env), TapConfig(gamma, detector)
+            for input_mean in [(0.0, 0.0), PROBE, (1e7, -1e7)]:
+                t_map, c = montecarlo._read_map(ch, tap, input_mean, None, montecarlo._TAP_INDEX)
+                q, scale, centre = montecarlo._tap_frame(ch, tap, input_mean)
+                frame = t_map @ q[:, :2]
+                assert frame[0, 1] == 0.0 and frame[1, 0] == 0.0
+                assert np.diagonal(frame) == pytest.approx(scale, rel=1e-12)
+                assert np.abs(scale) == pytest.approx(tap_outcome_std(ch, tap), rel=1e-12)
+                assert scale * centre == pytest.approx(-c, rel=1e-12)
