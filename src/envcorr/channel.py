@@ -12,11 +12,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import states
-from .states import GaussianState
-
 
 class Detector(enum.Enum):
     HOMODYNE_X = "homodyne-x"
@@ -48,30 +43,6 @@ class TapConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
-
-
-def _apply_linear(state: GaussianState, m: np.ndarray) -> GaussianState:
-    # general linear phase-space map; not necessarily symplectic
-    cov = m @ state.cov @ m.T
-    return GaussianState(m @ state.mean, 0.5 * (cov + cov.T))
-
-
-def signal_tap_state(
-    ch: ChannelParams, tap: TapConfig, input_state: GaussianState
-) -> GaussianState:
-    """Two-mode state (signal out, tapped mode) before the detector split.
-
-    The tapped mode is the gamma fraction of the leaked environment mixed
-    with vacuum; conditioning on it with heterodyne noise models the tap
-    detector exactly.
-    """
-    if input_state.n_modes != 1:
-        raise ValueError("input must be a single-mode state")
-    joint = states.tensor(input_state, states.thermal(ch.v_env))
-    joint = states.tensor(joint, states.vacuum(1))
-    joint = _apply_linear(joint, states.splitter_matrix(ch.eta, 0, 1, 3))
-    joint = _apply_linear(joint, states.splitter_matrix(tap.gamma, 1, 2, 3))
-    return states.partial_trace(joint, [0, 1])
 
 
 def added_noise_uncorrected(ch: ChannelParams) -> float:

@@ -223,13 +223,23 @@ def parse_config(raw: dict) -> dict:
     }
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice is refused, not overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config: key {key!r} is repeated in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc.strerror}") from None
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: not valid JSON ({exc.msg} at line {exc.lineno})") from None
     return parse_config(raw)
@@ -453,12 +463,13 @@ def cmd_sweep(args) -> int:
     axis = args.axis
     if axis not in ("eta", "v_env", "gamma"):
         raise ConfigError("axis: must be one of eta, v_env, gamma")
+    entries = [v.strip() for v in args.values.split(",")]
+    if not all(entries):
+        raise ConfigError(f"values: empty entry in {args.values!r}")
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = [float(v) for v in entries]
     except ValueError:
         raise ConfigError("values: must be a comma-separated list of numbers") from None
-    if not values:
-        raise ConfigError("values: at least one value required")
 
     # the `sweep` CSV columns, in order
     quantities = (
@@ -608,28 +619,45 @@ def _preset_fig5(n: int, seed: int):
 TABLE1_GAMMAS = (0.92, 0.82, 0.68, 0.48, 0.2)
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_measured(path: str, sigma: float) -> dict:
-    """gamma -> table1's measured cells: v_x, v_p, gain, then each noise's key rates."""
+    """gamma -> table1's measured cells: v_x, v_p, gain, then each noise's key rates.
+
+    Line 1 is a header of free spelling; a line 1 that starts with a number
+    is data without one, and is refused rather than skipped.
+    """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigError(f"--measured: cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"--measured: {path} is not UTF-8 text") from None
+    if lines and _is_number(lines[0].split(",")[0]):
+        raise ConfigError(
+            f"--measured: line 1: expected a header line such as gamma,v_x,v_p,gain,"
+            f" got {lines[0].strip()!r}"
+        )
     measured = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            values = [float(p) for p in line.split(",")[:4]]
+            values = [float(p) for p in line.split(",")]
         except ValueError:
             values = []
-        if len(values) < 4 or not all(map(math.isfinite, values)):
+        if len(values) != 4 or not all(map(math.isfinite, values)):
             raise ConfigError(
-                f"--measured: line {lineno}: expected finite numbers gamma,v_x,v_p,gain,"
+                f"--measured: line {lineno}: expected four finite numbers gamma,v_x,v_p,gain,"
                 f" got {line.strip()!r}"
             )
-        gamma, v_x, v_p, gain = values[:4]
+        gamma, v_x, v_p, gain = values
         if gamma not in TABLE1_GAMMAS or gamma in measured:
             problem = "repeats an earlier row" if gamma in measured else "is not a table1 gamma"
             raise ConfigError(f"--measured: line {lineno}: gamma {gamma:g} {problem}")

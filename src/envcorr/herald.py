@@ -120,29 +120,18 @@ def heralded_statistics(
     if m < 2:
         raise HeraldNoYieldError(f"acceptance window kept {m} of {n} trajectories", success)
 
-    amps = []
-    variances = {}
-    for quad, mean_in in zip(("x", "p"), PROBE_MEAN):
-        _, mean, variances[quad] = moments.column(f"{quad}_recv")
-        amps.append((mean / mean_in, math.sqrt(variances[quad] / m) / abs(mean_in)))
-    amp = 0.5 * (amps[0][0] + amps[1][0])
-    amp_err = 0.5 * math.hypot(amps[0][1], amps[1][1])
-    gain = amp * amp
-    gain_err = 2.0 * abs(amp) * amp_err
-
-    noise = {}
-    for quad, var in variances.items():
-        value = (var - gain) / gain
-        stderr = math.hypot(
-            math.sqrt(2.0 / (m - 1)) * var / gain, var / gain**2 * gain_err
-        )
-        noise[quad] = (value, stderr)
+    gain, gain_err = montecarlo.estimate_gain(moments, PROBE_MEAN, where="receiver")
+    # the noise is input-referred against the estimated gain, so its stderr carries the gain's
+    (v_x, err_x), (v_p, err_p) = (
+        (v, math.hypot(err, (v + 1.0) / gain * gain_err))
+        for v, err in montecarlo.estimate_added_noise(moments, gain, "receiver")
+    )
 
     return HeraldResult(
-        added_noise_x=noise["x"][0],
-        added_noise_x_stderr=noise["x"][1],
-        added_noise_p=noise["p"][0],
-        added_noise_p_stderr=noise["p"][1],
+        added_noise_x=v_x,
+        added_noise_x_stderr=err_x,
+        added_noise_p=v_p,
+        added_noise_p_stderr=err_p,
         gain=gain,
         gain_stderr=gain_err,
         success_prob=success,

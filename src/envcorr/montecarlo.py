@@ -343,6 +343,13 @@ def windowed_moments(
 # -- estimators ---------------------------------------------------------------
 
 
+def _prefix(where: str) -> str:
+    """Record-pair prefix of `where`: "signal" or "receiver"."""
+    if where not in ("signal", "receiver"):
+        raise ValueError("where must be 'signal' or 'receiver'")
+    return "sig" if where == "signal" else "recv"
+
+
 def estimate_added_noise(
     moments: Moments,
     optical_gain: float,
@@ -357,9 +364,7 @@ def estimate_added_noise(
     """
     if optical_gain <= 0.0:
         raise ValueError("optical_gain must be positive")
-    if where not in ("signal", "receiver"):
-        raise ValueError("where must be 'signal' or 'receiver'")
-    prefix = "sig" if where == "signal" else "recv"
+    prefix = _prefix(where)
     out = []
     for quad in ("x", "p"):
         count, _, var = moments.column(f"{quad}_{prefix}")
@@ -373,6 +378,7 @@ def estimate_gain(
     moments: Moments,
     input_mean: tuple[float, float],
     quadratures: tuple[str, ...] = ("x", "p"),
+    where: str = "signal",
 ):
     """Channel power gain from first-moment transfer, with stderr.
 
@@ -380,13 +386,15 @@ def estimate_gain(
     quadratures and squared. Requires displacements of at least 5 shot-noise
     sigma so the ratio is well conditioned. Single-quadrature strategies
     should pass quadratures=("x",) since they only amplify that quadrature.
+    where selects the record pair as in `estimate_added_noise`.
     """
+    prefix = _prefix(where)
     means = dict(zip(("x", "p"), input_mean))
     if any(abs(means[q]) < 5.0 for q in quadratures):
         raise ValueError("input mean must be >= 5 shot-noise sigma per quadrature")
     ratios = []
     for quad in quadratures:
-        count, mean, var = moments.column(f"{quad}_sig")
+        count, mean, var = moments.column(f"{quad}_{prefix}")
         ratios.append((mean / means[quad], np.sqrt(var / count) / abs(means[quad])))
     amp = sum(r[0] for r in ratios) / len(ratios)
     amp_err = np.sqrt(sum(r[1] ** 2 for r in ratios)) / len(ratios)

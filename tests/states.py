@@ -4,6 +4,9 @@ States are value objects: a mean vector and a covariance matrix over the
 quadratures (x1, p1, x2, p2, ...), with the vacuum normalized to unit
 variance per quadrature (commutator convention [X, P] = 2i). All operations
 return new states; nothing here mutates its inputs.
+
+This is the covariance-algebra oracle the tests check the package's closed
+forms and Monte Carlo map against; the package itself never calls it.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from envcorr.channel import ChannelParams, TapConfig
 
 SYMMETRY_TOL = 1e-12
 
@@ -168,3 +173,27 @@ def condition_homodyne(
     mean = mean.copy()
     mean[q] = outcome
     return GaussianState(mean, 0.5 * (cov + cov.T))
+
+
+def _apply_linear(state: GaussianState, m: np.ndarray) -> GaussianState:
+    # general linear phase-space map; not necessarily symplectic
+    cov = m @ state.cov @ m.T
+    return GaussianState(m @ state.mean, 0.5 * (cov + cov.T))
+
+
+def signal_tap_state(
+    ch: ChannelParams, tap: TapConfig, input_state: GaussianState
+) -> GaussianState:
+    """Two-mode state (signal out, tapped mode) before the detector split.
+
+    The tapped mode is the gamma fraction of the leaked environment mixed
+    with vacuum; conditioning on it with heterodyne noise models the tap
+    detector exactly.
+    """
+    if input_state.n_modes != 1:
+        raise ValueError("input must be a single-mode state")
+    joint = tensor(input_state, thermal(ch.v_env))
+    joint = tensor(joint, vacuum(1))
+    joint = _apply_linear(joint, splitter_matrix(ch.eta, 0, 1, 3))
+    joint = _apply_linear(joint, splitter_matrix(tap.gamma, 1, 2, 3))
+    return partial_trace(joint, [0, 1])

@@ -11,14 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from envcorr import cli, montecarlo, states
+from envcorr import cli, montecarlo
 from envcorr.channel import (
     ChannelParams,
     Detector,
     TapConfig,
     added_noise_uncorrected,
     excess_noise,
-    signal_tap_state,
 )
 from envcorr.feedforward import (
     added_noise_het_state,
@@ -37,6 +36,9 @@ from envcorr.herald import (
     zero_window_gain,
 )
 from envcorr.qkd import Attack, EffectiveChannel, key_rate
+
+import states
+from states import signal_tap_state
 
 ETA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 GAMMA_GRID = (0.2, 0.5, 0.8, 1.0)

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from envcorr import states
+import envcorr
+
 from envcorr.channel import (
     ChannelParams,
     Detector,
@@ -9,11 +15,12 @@ from envcorr.channel import (
     added_noise_uncorrected,
     excess_noise,
     security_thresholds,
-    signal_tap_state,
 )
 from envcorr.herald import tap_outcome_std
 
+import states
 from conftest import ETA_GRID, V_GRID
+from states import signal_tap_state
 
 # fraction of the tapped mode each detector routes to its X read-out port
 X_WEIGHT = {Detector.HOMODYNE_X: 1.0, Detector.HOMODYNE_P: 0.0, Detector.HETERODYNE: 0.5}
@@ -152,3 +159,17 @@ class TestNoiseFigures:
         }
         assert not security_thresholds(2.0)["entanglement_preserving"]
         assert not security_thresholds(0.8)["collective_secure"]
+
+
+def test_closed_form_layers_load_no_numpy():
+    # a fresh interpreter, since this one has loaded NumPy already
+    path = [str(Path(envcorr.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, envcorr.channel, envcorr.feedforward, envcorr.qkd; print(*sys.modules)"
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True,
+        timeout=60,
+    )
+    loaded = child.stdout.split()
+    assert "envcorr.qkd" in loaded
+    assert "numpy" not in loaded

@@ -523,7 +523,11 @@ class TestReproduce:
         assert cli.main(args) == 2
         assert "--measured" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["0.92,abc,0.1,1.1", "0.92,0.1,0.1", "0.92,nan,0.1,1.1"])
+    @pytest.mark.parametrize(
+        "row",
+        ["0.92,abc,0.1,1.1", "0.92,0.1,0.1", "0.92,nan,0.1,1.1", "0.92,0.5,0.5,1.1,junk",
+         "0.92,0.5,0.5,1.1,"],
+    )
     def test_measured_malformed_row_names_line(self, tmp_path, capsys, row):
         measured = tmp_path / "measured.csv"
         measured.write_text(f"gamma,v_add_x,v_add_p,gain\n0.2,1.04,0.94,1.04\n{row}\n")
@@ -702,10 +706,19 @@ REFUSALS = {
     "qkd-attack": ("qkd.attack", lambda d: run_argv(d, qkd={"attack": "coherent"})),
     "output-format": ("output.format", lambda d: run_argv(d, output={"format": "xml"})),
     "unreadable-config": ("config", lambda d: ["run", str(d / "missing.json")]),
+    "config-repeated-key": ("config: key 'eta' is repeated", lambda d: config_argv(
+        d, '{"channel": {"eta": 0.9, "v_env": 25, "eta": 0.1}, "tap": {"gamma": 0.5}}'
+    )),
     "sweep-no-values": ("values", lambda d: sweep_argv(d, " , ")),
+    "sweep-empty-value": ("values: empty entry", lambda d: sweep_argv(d, "0.5,,0.7")),
+    "sweep-trailing-comma": ("values: empty entry", lambda d: sweep_argv(d, "0.5,0.7,")),
     "sweep-value-out-of-range": ("values", lambda d: sweep_argv(d, "0.5,1.5")),
     "fig5-n-0": ("--n", lambda d: ["reproduce", "fig5", "--out", str(d / "out"), "--n", "0"]),
     "measured-not-utf8": ("--measured", lambda d: measured_argv(d, b"gamma\n\xff\xfe\n")),
+    "measured-no-header": (
+        "--measured: line 1: expected a header line",
+        lambda d: measured_argv(d, b"0.92,0.5,0.5,1.1\n"),
+    ),
     "measured-blank-lines-counted": (
         "--measured: line 4",
         lambda d: measured_argv(d, b"gamma,v_x,v_p,gain\n\n  \n0.92,x,0.1,1.1\n"),

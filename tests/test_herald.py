@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from envcorr import montecarlo, states
-from envcorr.channel import ChannelParams, Detector, TapConfig, signal_tap_state
+from envcorr import montecarlo
+from envcorr.channel import ChannelParams, Detector, TapConfig
 from envcorr.feedforward import receiver_added_noise
 from envcorr.herald import (
     HeraldNoYieldError,
@@ -16,7 +16,9 @@ from envcorr.herald import (
     zero_window_gain,
 )
 
+import states
 from conftest import grid_points, heralded_readouts
+from states import signal_tap_state
 
 
 def sharp_conditioned_signal(ch, tap, input_mean):

@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from envcorr import montecarlo
@@ -37,6 +39,7 @@ from envcorr.montecarlo import (
     windowed_moments,
 )
 
+import states
 from conftest import grid_points, heralded_readouts
 
 
@@ -176,6 +179,13 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_added_noise(batch, 0.0)
 
+    def test_receiver_gain_reads_the_receiver_pair(self):
+        batch = moments(CH, het(0.5), PROBE, None, 200_000, 52)
+        gain, err = estimate_gain(batch, PROBE, where="receiver")
+        assert abs(gain - CH.eta) < 5 * err
+        # the receiver read-out carries one more vacuum unit per quadrature
+        assert err > estimate_gain(batch, PROBE)[1]
+
     def test_single_quadrature_gain(self):
         tap = TapConfig(0.8, Detector.HOMODYNE_X)
         plan = plan_erasing_homodyne(CH, tap)
@@ -212,10 +222,11 @@ class TestEstimators:
         "n, estimate, message",
         [
             (10_000, lambda m: estimate_added_noise(m, 1.0, "tap"), "where must be"),
+            (10_000, lambda m: estimate_gain(m, PROBE, where="tap"), "where must be"),
             (10_000, lambda m: estimate_zero_window(m, (4.9, 10.0)), "5 shot-noise sigma"),
             (1023, lambda m: estimate_zero_window(m, PROBE), "at least 1024"),
         ],
-        ids=["where", "zero-window-probe", "zero-window-count"],
+        ids=["where", "gain-where", "zero-window-probe", "zero-window-count"],
     )
     def test_refusals(self, n, estimate, message):
         with pytest.raises(ValueError, match=message):
@@ -446,6 +457,25 @@ class TestSufficientSampler:
         cols = montecarlo._apply_optics(CH, tap, (3.0, -2.0), plan, draws)
         moment_cols = np.array([cols[COLUMNS.index(name)] for name in MOMENT_COLUMNS])
         assert np.allclose(moment_cols, a @ draws + b[:, None], rtol=0, atol=1e-12)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        eta=st.floats(0.01, 1.0),
+        gamma=st.floats(0.0, 1.0),
+        v=st.floats(1.0, 100.0),
+        detector=st.sampled_from(Detector),
+        input_mean=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+    )
+    def test_affine_map_matches_the_oracle(self, eta, gamma, v, detector, input_mean):
+        # (x_sig, p_sig, x_tap_mode, p_tap_mode): the oracle's two modes before the tap split
+        ch, tap = ChannelParams(eta, v), TapConfig(gamma, detector)
+        pair = states.signal_tap_state(ch, tap, states.coherent(*input_mean))
+        a, b = affine_map(ch, tap, input_mean, None)
+        names = ("x_sig", "p_sig", "x_tap_mode", "p_tap_mode")
+        rows = [MOMENT_COLUMNS.index(name) for name in names]
+        mean, cov = b[rows], (a @ a.T)[np.ix_(rows, rows)]
+        assert np.max(np.abs(mean - pair.mean)) <= 1e-12 * max(1.0, np.max(np.abs(pair.mean)))
+        assert np.max(np.abs(cov - pair.cov)) <= 1e-12 * np.max(np.abs(pair.cov))
 
     @pytest.mark.parametrize("eta,gamma,v", grid_points())
     def test_exact_map_closes_on_every_formula(self, eta, gamma, v):

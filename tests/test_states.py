@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from envcorr.channel import _apply_linear
-from envcorr.states import (
+from states import (
     GaussianState,
+    _apply_linear,
     coherent,
     condition_heterodyne,
     condition_homodyne,
