@@ -634,7 +634,8 @@ def _read_measured(path: str, sigma: float) -> dict:
     is data without one, and is refused rather than skipped.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        # utf-8-sig: a byte-order mark must not hide a number on line 1
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except OSError as exc:
         raise ConfigError(f"--measured: cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import envcorr
-
 from envcorr.channel import (
     ChannelParams,
     Detector,

@@ -719,6 +719,10 @@ REFUSALS = {
         "--measured: line 1: expected a header line",
         lambda d: measured_argv(d, b"0.92,0.5,0.5,1.1\n"),
     ),
+    "measured-no-header-bom": (
+        "--measured: line 1: expected a header line",
+        lambda d: measured_argv(d, b"\xef\xbb\xbf0.92,0.5,0.5,1.1\n"),
+    ),
     "measured-blank-lines-counted": (
         "--measured: line 4",
         lambda d: measured_argv(d, b"gamma,v_x,v_p,gain\n\n  \n0.92,x,0.1,1.1\n"),
