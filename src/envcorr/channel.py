@@ -2,7 +2,7 @@
 
 The channel couples the signal to a thermal environment on a beam splitter
 of transmission eta. A fraction gamma of the leaked environment mode is
-split off and sent to a tap detector (homodyne on one quadrature, or
+split off and sent to a tap detector (homodyne on the x quadrature, or
 heterodyne on both).
 """
 
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 class Detector(enum.Enum):
     HOMODYNE_X = "homodyne-x"
-    HOMODYNE_P = "homodyne-p"
     HETERODYNE = "heterodyne"
 
 

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -36,35 +36,27 @@ GAIN_PROBE_MEAN = (10.0, 10.0)
 POINT_SEEDS = 4
 KEY_RATES = ("k_direct", "k_direct_asymptotic", "k_reverse", "k_reverse_asymptotic")
 
-# strategy -> (gain, added noise) quantities of its corrected channel, which
+# strategy -> the tap its formulas and batches read ("none": the bare channel's,
+# heterodyne), the (gain, added noise) quantities of its corrected channel, which
 # `run` feeds to the key-rate formulas, and the quantities `run` prints
 STRATEGIES = {
-    "none": ("channel_gain_uncorrected", "added_noise_uncorrected", (
+    "none": (Detector.HETERODYNE, "channel_gain_uncorrected", "added_noise_uncorrected", (
         "added_noise_uncorrected", "excess_noise",
         "receiver_added_noise_no_ff", "channel_gain_uncorrected",
     )),
-    "erasing-hom": ("gain_hom_ff", "added_noise_hom_ff", (
+    "erasing-hom": (Detector.HOMODYNE_X, "gain_hom_ff", "added_noise_hom_ff", (
         "added_noise_uncorrected", "added_noise_hom_ff", "gain_hom_ff",
     )),
-    "erasing-het": ("gain_erasing", "added_noise_het_state", (
+    "erasing-het": (Detector.HETERODYNE, "gain_erasing", "added_noise_het_state", (
         "added_noise_uncorrected", "added_noise_het_state",
         "receiver_added_noise_no_ff", "receiver_added_noise_ff", "gain_erasing",
     )),
-    "optimal": ("optimal_gain", "optimal_added_noise", (
+    "optimal": (Detector.HETERODYNE, "optimal_gain", "optimal_added_noise", (
         "added_noise_uncorrected", "optimal_added_noise", "optimal_gain",
     )),
-    "herald": ("zero_window_gain", "zero_window_added_noise", (
+    "herald": (Detector.HETERODYNE, "zero_window_gain", "zero_window_added_noise", (
         "added_noise_uncorrected", "zero_window_added_noise", "zero_window_gain",
     )),
-}
-DETECTORS = {d.value: d for d in Detector}
-# strategy -> the tap detector its formulas and Monte Carlo batches assume;
-# "none" reads no tap, so it takes any detector
-STRATEGY_DETECTORS = {
-    "erasing-hom": Detector.HOMODYNE_X,
-    "erasing-het": Detector.HETERODYNE,
-    "optimal": Detector.HETERODYNE,
-    "herald": Detector.HETERODYNE,
 }
 
 
@@ -131,6 +123,10 @@ def parse_config(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
     _check_keys(raw, {"channel", "tap", "strategy", "window", "mc", "qkd", "output"}, "config")
+    strategy = raw.get("strategy", "none")
+    if not isinstance(strategy, str) or strategy not in STRATEGIES:
+        raise ConfigError(f"strategy: must be one of {tuple(STRATEGIES)}")
+    detector = STRATEGIES[strategy][0]
 
     ch_raw = _section(raw, "channel", required=True)
     _check_keys(ch_raw, {"eta", "v_env"}, "channel")
@@ -144,24 +140,15 @@ def parse_config(raw: dict) -> dict:
 
     tap_raw = _section(raw, "tap", required=True)
     _check_keys(tap_raw, {"gamma", "detector"}, "tap")
-    det_name = tap_raw.get("detector", "heterodyne")
-    if det_name not in DETECTORS:
-        raise ConfigError(f"tap.detector: must be one of {sorted(DETECTORS)}")
-    try:
-        tap = TapConfig(
-            _number(_need(tap_raw, "gamma", "tap"), "tap.gamma"), DETECTORS[det_name]
+    det_name = tap_raw.get("detector", detector.value)
+    if det_name != detector.value:
+        raise ConfigError(
+            f"tap.detector: strategy {strategy!r} reads a {detector.value!r} tap, got {det_name!r}"
         )
+    try:
+        tap = TapConfig(_number(_need(tap_raw, "gamma", "tap"), "tap.gamma"), detector)
     except ValueError as exc:
         raise ConfigError(f"tap.gamma: {exc}") from None
-
-    strategy = raw.get("strategy", "none")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy: must be one of {tuple(STRATEGIES)}")
-    needed = STRATEGY_DETECTORS.get(strategy, tap.detector)
-    if tap.detector is not needed:
-        raise ConfigError(
-            f"tap.detector: strategy {strategy!r} reads a {needed.value!r} tap, got {det_name!r}"
-        )
 
     window = None
     if "window" in raw:
@@ -209,6 +196,9 @@ def parse_config(raw: dict) -> dict:
     out_path = out_raw.get("path", "run")
     if not isinstance(out_path, str) or not out_path or "\0" in out_path:
         raise ConfigError(f"output.path: expected a file name, got {out_path!r}")
+    stem = PurePath(out_path)
+    if stem.is_absolute() or ".." in stem.parts:
+        raise ConfigError(f"output.path: must stay under the output directory, got {out_path!r}")
 
     return {
         "channel": ch,
@@ -242,6 +232,8 @@ def load_config(path: str) -> dict:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: not valid JSON ({exc.msg} at line {exc.lineno})") from None
+    except RecursionError:
+        raise ConfigError("config: JSON nested too deeply to parse") from None
     return parse_config(raw)
 
 
@@ -358,7 +350,8 @@ def mc_counterparts(
 # -- formula table for one (channel, tap) point ------------------------------
 
 
-def formula_values(ch: ChannelParams, tap: TapConfig) -> dict:
+def formula_values(ch: ChannelParams, gamma: float) -> dict:
+    tap = TapConfig(gamma, Detector.HETERODYNE)  # the optimal plan's; no formula reads it
     eps = channel_mod.excess_noise(ch)
     verdict = channel_mod.security_thresholds(eps)
     cond = feedforward.improvement_conditions(ch, tap)
@@ -375,9 +368,7 @@ def formula_values(ch: ChannelParams, tap: TapConfig) -> dict:
         "receiver_added_noise_ff": feedforward.receiver_added_noise(ch, tap, True),
         "gain_erasing": 1.0 / ch.eta,
         "optimal_added_noise": feedforward.optimal_added_noise(ch, tap),
-        "optimal_gain": feedforward.plan_optimal_heterodyne(
-            ch, TapConfig(tap.gamma, Detector.HETERODYNE)
-        ).optical_gain,
+        "optimal_gain": feedforward.plan_optimal_heterodyne(ch, tap).optical_gain,
         "zero_window_added_noise": herald.zero_window_added_noise(ch, tap),
         "zero_window_gain": herald.zero_window_gain(ch, tap),
         "improves_hom": cond["hom"],
@@ -386,20 +377,31 @@ def formula_values(ch: ChannelParams, tap: TapConfig) -> dict:
     }
 
 
+def _finite_key_rate(gain: float, noise: float, sigma: float, attack: Attack):
+    """qkd.key_rate; FloatingPointError once the dilation's squares overflow (noise ~1e100)."""
+    try:
+        report = qkd.key_rate(EffectiveChannel(gain, noise), sigma, attack)
+        if all(math.isfinite(getattr(report, k)) for k in KEY_RATES):
+            return report
+    except OverflowError:
+        pass
+    raise FloatingPointError(f"key rate: not finite at added noise {noise:.9g}")
+
+
 def strategy_key_rate(formulas: dict, strategy: str, sigma: float, attack: Attack):
     """Key rates of a strategy's corrected formula channel; None if its noise is infinite."""
-    gain_key, noise_key, _ = STRATEGIES[strategy]
+    _, gain_key, noise_key, _ = STRATEGIES[strategy]
     gain, noise = formulas[gain_key], formulas[noise_key]
     if not math.isfinite(noise):
         return None
-    return qkd.key_rate(EffectiveChannel(gain, noise), sigma, attack)
+    return _finite_key_rate(gain, noise, sigma, attack)
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     ch, tap = cfg["channel"], cfg["tap"]
-    quantities = STRATEGIES[cfg["strategy"]][2]
-    formulas = formula_values(ch, tap)
+    quantities = STRATEGIES[cfg["strategy"]][3]
+    formulas = formula_values(ch, tap.gamma)
     mc = {}
     if cfg["n"] > 0:
         mc = mc_counterparts(ch, tap.gamma, cfg["n"], cfg["seed"], quantities)
@@ -501,7 +503,7 @@ def cmd_sweep(args) -> int:
                 tap = TapConfig(value, tap.detector)
         except ValueError as exc:
             raise ConfigError(f"values: {axis}={value}: {exc}") from None
-        formulas = formula_values(ch, tap)
+        formulas = formula_values(ch, tap.gamma)
         row = [ch.eta, ch.v_env, tap.gamma, tap.detector.value]
         row += [formulas[q] for q in quantities]
         if cfg["n"] > 0:
@@ -523,7 +525,7 @@ def _point_cells(ch: ChannelParams, gamma: float, keys, n: int, seed: int, point
 
     Point `point` of a preset draws its batches from its own seed block.
     """
-    formulas = formula_values(ch, TapConfig(gamma, Detector.HETERODYNE))
+    formulas = formula_values(ch, gamma)
     mc = {}
     if n > 0:
         mc = mc_counterparts(ch, gamma, n, batch_seed(seed, POINT_SEEDS * point), keys)
@@ -665,8 +667,8 @@ def _read_measured(path: str, sigma: float) -> dict:
         cells = [v_x, v_p, gain]
         for noise in (v_x, v_p):
             try:
-                k = qkd.key_rate(EffectiveChannel(gain, noise), sigma, Attack.COLLECTIVE)
-            except ValueError as exc:
+                k = _finite_key_rate(gain, noise, sigma, Attack.COLLECTIVE)
+            except (ValueError, FloatingPointError) as exc:
                 raise ConfigError(f"--measured: line {lineno}: {exc}") from None
             cells += [k.k_direct, k.k_direct_asymptotic]
         measured[gamma] = cells
@@ -677,7 +679,7 @@ def _preset_table1(n: int, seed: int, measured_path: str = ""):
     del n, seed  # analytic preset
     ch = ChannelParams(0.9, 25.0)
     sigma = 40.0
-    gain_key, noise_key, _ = STRATEGIES["optimal"]
+    _, gain_key, noise_key, _ = STRATEGIES["optimal"]
     header = ["gamma", "v_add_theory", "gain_theory", *KEY_RATES]
     measured = {}
     if measured_path:
@@ -689,7 +691,7 @@ def _preset_table1(n: int, seed: int, measured_path: str = ""):
         ]
     rows = []
     for gamma in TABLE1_GAMMAS:
-        formulas = formula_values(ch, TapConfig(gamma, Detector.HETERODYNE))
+        formulas = formula_values(ch, gamma)
         report = strategy_key_rate(formulas, "optimal", sigma, Attack.COLLECTIVE)
         row = [
             gamma, formulas[noise_key], formulas[gain_key],

@@ -30,24 +30,23 @@ class FeedforwardPlan:
             raise ValueError("electronic gains must be non-negative")
 
 
-def _require(tap: TapConfig, kinds: tuple[Detector, ...], what: str) -> None:
-    if tap.detector not in kinds:
-        raise ValueError(f"{what} requires detector in {[k.value for k in kinds]}")
+def _require(tap: TapConfig, kind: Detector, what: str) -> None:
+    if tap.detector is not kind:
+        raise ValueError(f"{what} requires a {kind.value} tap")
 
 
 def plan_erasing_homodyne(ch: ChannelParams, tap: TapConfig) -> FeedforwardPlan:
-    """Single-quadrature erasing: g = sqrt((1-eta)/(gamma eta)), gain 1/eta."""
-    _require(tap, (Detector.HOMODYNE_X, Detector.HOMODYNE_P), "erasing homodyne")
+    """Single-quadrature erasing of x: g = sqrt((1-eta)/(gamma eta)), gain 1/eta."""
+    _require(tap, Detector.HOMODYNE_X, "erasing homodyne")
     if tap.gamma < MIN_ERASING_GAMMA:
         raise ValueError("gamma too small for an erasing plan")
     g = math.sqrt((1.0 - ch.eta) / (tap.gamma * ch.eta))
-    g_x, g_p = (g, 0.0) if tap.detector is Detector.HOMODYNE_X else (0.0, g)
-    return FeedforwardPlan(g_x, g_p, 1.0 / ch.eta)
+    return FeedforwardPlan(g, 0.0, 1.0 / ch.eta)
 
 
 def plan_erasing_heterodyne(ch: ChannelParams, tap: TapConfig) -> FeedforwardPlan:
     """Dual-quadrature erasing: g = sqrt(2(1-eta)/(gamma eta)), gain 1/eta."""
-    _require(tap, (Detector.HETERODYNE,), "erasing heterodyne")
+    _require(tap, Detector.HETERODYNE, "erasing heterodyne")
     if tap.gamma < MIN_ERASING_GAMMA:
         raise ValueError("gamma too small for an erasing plan")
     g = math.sqrt(2.0 * (1.0 - ch.eta) / (tap.gamma * ch.eta))
@@ -56,7 +55,7 @@ def plan_erasing_heterodyne(ch: ChannelParams, tap: TapConfig) -> FeedforwardPla
 
 def plan_optimal_heterodyne(ch: ChannelParams, tap: TapConfig) -> FeedforwardPlan:
     """Noise-minimizing dual-quadrature gain; well defined down to gamma = 0."""
-    _require(tap, (Detector.HETERODYNE,), "optimal heterodyne")
+    _require(tap, Detector.HETERODYNE, "optimal heterodyne")
     eta, gamma, v = ch.eta, tap.gamma, ch.v_env
     g = math.sqrt(2.0 * gamma * (1.0 - eta)) * v / (
         math.sqrt(eta) * (2.0 + gamma * (v - 1.0))

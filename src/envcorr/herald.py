@@ -69,9 +69,7 @@ def tap_outcome_std(ch: ChannelParams, tap: TapConfig) -> tuple[float, float]:
     if tap.detector is Detector.HETERODYNE:
         s = math.sqrt((a_t + 1.0) / 2.0)
         return s, s
-    if tap.detector is Detector.HOMODYNE_X:
-        return math.sqrt(a_t), 1.0
-    return 1.0, math.sqrt(a_t)
+    return math.sqrt(a_t), 1.0
 
 
 def scaled_window(ch: ChannelParams, tap: TapConfig, scale: float) -> HeraldWindow:

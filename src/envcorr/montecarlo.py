@@ -120,10 +120,8 @@ def _apply_optics(
     if tap.detector is Detector.HETERODYNE:
         half = np.sqrt(0.5)
         x_tap, p_tap = half * (x_tm + x_v2), half * (p_tm - p_v2)
-    elif tap.detector is Detector.HOMODYNE_X:
+    else:  # homodyne on x; the p read-out is the detector vacuum
         x_tap, p_tap = x_tm, -p_v2
-    else:
-        x_tap, p_tap = x_v2, p_tm
 
     x_out, p_out = t * x_in + r * x_env, t * p_in + r * p_env
     # feedforward displaces the signal by the scaled tap read-out

@@ -22,7 +22,7 @@ from conftest import ETA_GRID, V_GRID
 from states import signal_tap_state
 
 # fraction of the tapped mode each detector routes to its X read-out port
-X_WEIGHT = {Detector.HOMODYNE_X: 1.0, Detector.HOMODYNE_P: 0.0, Detector.HETERODYNE: 0.5}
+X_WEIGHT = {Detector.HOMODYNE_X: 1.0, Detector.HETERODYNE: 0.5}
 
 
 def tap_readout_variances(eta, gamma, v, x_weight, v_in=1.0):

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from envcorr import cli, herald, montecarlo
-from envcorr.channel import ChannelParams, TapConfig
+from envcorr.channel import ChannelParams, Detector
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -195,7 +200,7 @@ class TestRun:
         assert cli.main(["run", str(bad), "--out", str(tmp_path)]) == 2
         assert "JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("detector", ["homodyne-x", "homodyne-p"])
+    @pytest.mark.parametrize("detector", ["homodyne-x"])
     def test_herald_needs_heterodyne_tap(self, tmp_path, capsys, detector):
         cfg = write_config(
             tmp_path,
@@ -207,18 +212,33 @@ class TestRun:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 2
         assert "tap.detector: strategy 'herald'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("detector", ["heterodyne", "homodyne-x", "homodyne-p"])
+    @pytest.mark.parametrize("detector", ["heterodyne", "homodyne-x"])
     @pytest.mark.parametrize("strategy", ["none", "erasing-hom", "erasing-het", "optimal"])
     def test_tap_detector_must_be_the_one_the_strategy_reads(
         self, tmp_path, capsys, strategy, detector
     ):
         cfg = write_config(tmp_path, tap={"gamma": 0.5, "detector": detector}, strategy=strategy)
         code = cli.main(["run", str(cfg), "--out", str(tmp_path)])
-        if strategy == "none" or strategy_tap(strategy)["detector"] == detector:
+        if strategy_tap(strategy)["detector"] == detector:
             assert code == 0
         else:
             assert code == 2
-            assert f"tap.detector: strategy '{strategy}'" in capsys.readouterr().err
+            needed = strategy_tap(strategy)["detector"]
+            assert capsys.readouterr().err == (
+                f"config error: tap.detector: strategy '{strategy}' reads a '{needed}' tap,"
+                f" got '{detector}'\n"
+            )
+
+    @pytest.mark.parametrize("strategy", list(cli.STRATEGIES))
+    def test_omitted_detector_is_the_strategys(self, tmp_path, strategy):
+        extra = {"window": {"x_th": 2.0, "p_th": 2.0}} if strategy == "herald" else {}
+        n = 10_000 if strategy == "herald" else 0
+        cfg = write_config(
+            tmp_path, tap={"gamma": 0.5}, strategy=strategy, mc={"n": n, "seed": 1}, **extra
+        )
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "out.csv")
+        assert {r["detector"] for r in rows} == {strategy_tap(strategy)["detector"]}
 
     def test_infinite_noise_writes_a_key_rate_sentinel_row(self, tmp_path):
         # erasing at gamma = 0 has no finite corrected channel to rate
@@ -231,6 +251,17 @@ class TestRun:
         assert rows[-1]["quantity"] == "k_rates"
         assert rows[-1]["formula"] == "infinite_added_noise"
         assert not [r for r in rows if r["quantity"] in cli.KEY_RATES]
+
+    @pytest.mark.parametrize("gamma", [1e-160, 1e-100], ids=["nan-rates", "overflow"])
+    def test_key_rate_beyond_the_float_range_is_a_numeric_error(self, tmp_path, capsys, gamma):
+        # erasing noise ~ 1/gamma: ~1e160 turns the rates into inf - inf, ~1e100 overflows a square
+        cfg = write_config(
+            tmp_path, tap={"gamma": gamma}, strategy="erasing-het", qkd={"sigma": 40.0}
+        )
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: key rate: not finite at added noise ")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_herald_no_yield_exit_code(self, tmp_path):
         # a zero window keeps no trajectory: it is not the sharp-selection limit
@@ -313,8 +344,9 @@ class TestRun:
 
 class TestStrategyTable:
     def test_rows_are_formula_quantities(self):
-        formulas = cli.formula_values(ChannelParams(0.9, 25.0), TapConfig(0.5))
-        for gain, noise, rows in cli.STRATEGIES.values():
+        formulas = cli.formula_values(ChannelParams(0.9, 25.0), 0.5)
+        for detector, gain, noise, rows in cli.STRATEGIES.values():
+            assert isinstance(detector, Detector)
             assert {gain, noise} <= set(rows) <= set(formulas)
 
     @pytest.mark.parametrize(
@@ -540,11 +572,11 @@ class TestReproduce:
         "row",
         [
             "0.92,0.1,0.1,0", "0.92,0.1,0.1,-1.1", "0.92,-0.1,0.1,1.1", "0.92,0.01,0.1,1.1",
-            "0.5,0.1,0.1,1.1", "0.2,1.04,0.94,1.04",
+            "0.5,0.1,0.1,1.1", "0.2,1.04,0.94,1.04", "0.92,1e200,0.5,1.1",
         ],
         ids=[
             "zero-gain", "negative-gain", "negative-noise", "below-amplifier-floor",
-            "gamma-not-in-table", "repeated-gamma",
+            "gamma-not-in-table", "repeated-gamma", "rate-beyond-float-range",
         ],
     )
     def test_measured_row_the_model_refuses_names_line(self, tmp_path, capsys, row):
@@ -624,6 +656,13 @@ class TestSweep:
         values = {r["added_noise_het_state"] for r in rows}
         assert len(values) == 1
 
+    def test_omitted_detector_is_heterodyne(self, tmp_path):
+        cfg = write_config(tmp_path, strategy="none", tap={"gamma": 0.5})
+        args = ["sweep", str(cfg), "--axis", "eta", "--values", "0.5", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        (row,) = read_rows(tmp_path / "out_sweep_eta.csv")
+        assert row["detector"] == "heterodyne"
+
     def test_bad_axis(self, tmp_path, capsys):
         cfg = write_config(tmp_path, strategy="none")
         assert (
@@ -668,8 +707,8 @@ def run_argv(tmp_path: Path, **overrides) -> list[str]:
     return ["run", str(write_config(tmp_path, **overrides)), "--out", str(tmp_path / "out")]
 
 
-def sweep_argv(tmp_path: Path, values: str) -> list[str]:
-    cfg = write_config(tmp_path, strategy="none")
+def sweep_argv(tmp_path: Path, values: str, **overrides) -> list[str]:
+    cfg = write_config(tmp_path, **{"strategy": "none", **overrides})
     args = ["sweep", str(cfg), "--axis", "eta", "--values", values]
     return [*args, "--out", str(tmp_path / "out")]
 
@@ -694,6 +733,15 @@ REFUSALS = {
     "tap-detector": ("tap.detector", lambda d: run_argv(d, tap={"gamma": 0.5, "detector": "eye"})),
     "tap-gamma": ("tap.gamma", lambda d: run_argv(d, tap={"gamma": 1.5})),
     "strategy": ("strategy", lambda d: run_argv(d, strategy="perfect")),
+    "strategy-list": ("strategy", lambda d: run_argv(d, strategy=["optimal"])),
+    "none-homodyne-tap": (
+        "tap.detector: strategy 'none' reads a 'heterodyne' tap, got 'homodyne-x'",
+        lambda d: run_argv(d, strategy="none", tap={"gamma": 0.5, "detector": "homodyne-x"}),
+    ),
+    "sweep-homodyne-tap": (
+        "tap.detector: strategy 'none' reads a 'heterodyne' tap, got 'homodyne-x'",
+        lambda d: sweep_argv(d, "0.5", tap={"gamma": 0.5, "detector": "homodyne-x"}),
+    ),
     "window": ("window", lambda d: run_argv(d, **{**HERALD, "window": {"x_th": -1, "p_th": 1}})),
     "mc-seed": ("mc.seed", lambda d: run_argv(d, mc={"n": 0, "seed": -1})),
     "herald-without-window": ("window", lambda d: run_argv(d, strategy="herald")),
@@ -705,7 +753,18 @@ REFUSALS = {
     "qkd-sigma-negative": ("qkd.sigma", lambda d: run_argv(d, qkd={"sigma": -40.0})),
     "qkd-attack": ("qkd.attack", lambda d: run_argv(d, qkd={"attack": "coherent"})),
     "output-format": ("output.format", lambda d: run_argv(d, output={"format": "xml"})),
+    "output-path-absolute": (
+        "output.path: must stay under the output directory",
+        lambda d: run_argv(d, output={"path": str(d / "escape")}),
+    ),
+    "output-path-parent": (
+        "output.path: must stay under the output directory",
+        lambda d: run_argv(d, output={"path": "a/../../escape"}),
+    ),
     "unreadable-config": ("config", lambda d: ["run", str(d / "missing.json")]),
+    "config-nested-too-deeply": (
+        "config: JSON nested too deeply", lambda d: config_argv(d, "[" * 100_000 + "]" * 100_000)
+    ),
     "config-repeated-key": ("config: key 'eta' is repeated", lambda d: config_argv(
         d, '{"channel": {"eta": 0.9, "v_env": 25, "eta": 0.1}, "tap": {"gamma": 0.5}}'
     )),
@@ -737,3 +796,75 @@ def test_refusal_names_its_field(tmp_path, capsys, field, make_argv):
     assert err.startswith(f"config error: {field}")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    assert not list(tmp_path.rglob("escape*"))
+
+
+def test_readme_run_example_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### `envcorr run ", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "config.json"
+    config.write_text(block, encoding="utf-8")
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    stem = json.loads(block)["output"]["path"]
+    assert read_rows(tmp_path / "out" / f"{stem}.csv")
+
+
+# edge values a near-valid config takes in place of a valid field
+EDGES = (0, 1e-300, 1e300, 2**64, "inf", -1, -1e300, 10**400)
+FUZZED = {
+    "eta": ("channel", "eta"),
+    "v_env": ("channel", "v_env"),
+    "gamma": ("tap", "gamma"),
+    "sigma": ("qkd", "sigma"),
+    "seed": ("mc", "seed"),
+    "x_th": ("window", "x_th"),
+    "p_th": ("window", "p_th"),
+}
+
+
+@st.composite
+def near_valid_configs(draw) -> dict:
+    strategy = draw(st.sampled_from(list(cli.STRATEGIES)))
+    config = {
+        "channel": {"eta": 0.9, "v_env": 25.0},
+        "tap": {"gamma": 0.5},
+        "strategy": strategy,
+        "mc": {"n": draw(st.sampled_from([0, 10_000])), "seed": 7},
+        "qkd": {"sigma": 40.0},
+        "output": {"path": "fuzz", "format": "both"},
+    }
+    fields = sorted(FUZZED)
+    if strategy == "herald":
+        config["window"] = {"x_th": 2.0, "p_th": 2.0}
+    else:  # a window is refused outright with any other strategy
+        fields = [f for f in fields if FUZZED[f][0] != "window"]
+    for field in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3, unique=True)):
+        section, key = FUZZED[field]
+        config.setdefault(section, {})[key] = draw(st.sampled_from(EDGES))
+    return config
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(config=near_valid_configs())
+@example(config={  # erasing noise ~1e160: the key rates were inf - inf = nan
+    "channel": {"eta": 0.9, "v_env": 25.0}, "tap": {"gamma": 1e-160},
+    "strategy": "erasing-het", "qkd": {"sigma": 40.0},
+    "output": {"path": "fuzz", "format": "both"},
+})
+def test_run_boundary_exits_with_a_documented_code_and_writes_no_nan(config):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--out", str(Path(workdir) / "out")])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        out = Path(workdir) / "out"
+        if code == 0:
+            csv = (out / "fuzz.csv").read_text(encoding="utf-8")
+            assert "nan" not in csv.replace("\n", ",").split(","), csv
+            assert "NaN" not in (out / "fuzz.json").read_text(encoding="utf-8")
+        else:
+            assert not out.exists()

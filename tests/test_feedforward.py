@@ -38,13 +38,6 @@ class TestPlans:
         # near-lossless channel barely needs correction
         assert plan_erasing_homodyne(ChannelParams(0.999999, 5.0), hom(1.0)).g_x < 2e-3
 
-    def test_erasing_homodyne_p_variant(self):
-        plan = plan_erasing_homodyne(
-            ChannelParams(0.5, 5.0), TapConfig(1.0, Detector.HOMODYNE_P)
-        )
-        assert plan.g_x == 0.0
-        assert plan.g_p == pytest.approx(1.0)
-
     def test_erasing_heterodyne_gains(self):
         plan = plan_erasing_heterodyne(ChannelParams(0.5, 5.0), het(1.0))
         assert plan.g_x == pytest.approx(math.sqrt(2.0))

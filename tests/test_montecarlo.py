@@ -127,15 +127,6 @@ class TestSampler:
         v_recv = np.var(column(batch, "x_recv"), ddof=1)
         assert v_recv - v_sig == pytest.approx(1.0, abs=0.05)
 
-    def test_homodyne_p_detector_routes_quadratures(self):
-        tap = TapConfig(0.8, Detector.HOMODYNE_P)
-        batch = sample(CH, tap, (0.0, 0.0), None, 200_000, 14)
-        # X read-out is bare detector vacuum, P carries the tapped mode
-        assert np.var(column(batch, "x_tap"), ddof=1) == pytest.approx(1.0, rel=0.05)
-        assert np.var(column(batch, "p_tap"), ddof=1) == pytest.approx(
-            np.var(column(batch, "p_tap_mode"), ddof=1), rel=0.05
-        )
-
     def test_seed_range_checked(self):
         with pytest.raises(ValueError):
             sample(CH, het(0.5), (0.0, 0.0), None, 100, -1)
@@ -362,13 +353,8 @@ class TestMomentKernel:
             (het(0.7), plan_optimal_heterodyne),
             (TapConfig(0.6, Detector.HOMODYNE_X), None),
             (TapConfig(0.6, Detector.HOMODYNE_X), plan_erasing_homodyne),
-            (TapConfig(0.6, Detector.HOMODYNE_P), None),
-            (TapConfig(0.6, Detector.HOMODYNE_P), plan_erasing_homodyne),
         ],
-        ids=[
-            "het", "het-erasing", "het-optimal",
-            "hom-x", "hom-x-erasing", "hom-p", "hom-p-erasing",
-        ],
+        ids=["het", "het-erasing", "het-optimal", "hom-x", "hom-x-erasing"],
     )
     def test_moments_equal_record_reductions(self, tap, planner, windowed):
         plan = planner(CH, tap) if planner else None
