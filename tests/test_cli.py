@@ -219,11 +219,11 @@ class TestRun:
     ):
         cfg = write_config(tmp_path, tap={"gamma": 0.5, "detector": detector}, strategy=strategy)
         code = cli.main(["run", str(cfg), "--out", str(tmp_path)])
-        if strategy_tap(strategy)["detector"] == detector:
+        needed = strategy_tap(strategy)["detector"]
+        if detector == needed:
             assert code == 0
         else:
             assert code == 2
-            needed = strategy_tap(strategy)["detector"]
             assert capsys.readouterr().err == (
                 f"config error: tap.detector: strategy '{strategy}' reads a '{needed}' tap,"
                 f" got '{detector}'\n"
@@ -731,13 +731,12 @@ HERALD = {"strategy": "herald", "window": {"x_th": 1.0, "p_th": 1.0}, "mc": {"n"
 # written to a directory d and whose outputs would go to d / "out")
 REFUSALS = {
     "tap-detector": ("tap.detector", lambda d: run_argv(d, tap={"gamma": 0.5, "detector": "eye"})),
+    "tap-detector-list": (
+        "tap.detector", lambda d: run_argv(d, tap={"gamma": 0.5, "detector": ["heterodyne"]})
+    ),
     "tap-gamma": ("tap.gamma", lambda d: run_argv(d, tap={"gamma": 1.5})),
     "strategy": ("strategy", lambda d: run_argv(d, strategy="perfect")),
     "strategy-list": ("strategy", lambda d: run_argv(d, strategy=["optimal"])),
-    "none-homodyne-tap": (
-        "tap.detector: strategy 'none' reads a 'heterodyne' tap, got 'homodyne-x'",
-        lambda d: run_argv(d, strategy="none", tap={"gamma": 0.5, "detector": "homodyne-x"}),
-    ),
     "sweep-homodyne-tap": (
         "tap.detector: strategy 'none' reads a 'heterodyne' tap, got 'homodyne-x'",
         lambda d: sweep_argv(d, "0.5", tap={"gamma": 0.5, "detector": "homodyne-x"}),
