@@ -20,7 +20,11 @@ class Detector(enum.Enum):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Transmission eta in (0,1] and finite environment variance v_env >= 1."""
+    """Transmission eta in (0,1] and environment variance v_env >= 1.
+
+    The closed forms square v_env and scale it by (1-eta)/eta, so both
+    v_env^2 and the uncorrected added noise must be finite floats.
+    """
 
     eta: float
     v_env: float
@@ -28,8 +32,12 @@ class ChannelParams:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
-        if not 1.0 <= self.v_env < math.inf:
-            raise ValueError("v_env must be finite and >= 1 (thermal or vacuum environment)")
+        if not (1.0 <= self.v_env and math.isfinite(self.v_env * self.v_env)):
+            raise ValueError(
+                "v_env must be >= 1 (thermal or vacuum environment) and its square finite"
+            )
+        if not math.isfinite(added_noise_uncorrected(self)):
+            raise ValueError("eta too small: the added noise (1-eta)/eta * v_env overflows")
 
 
 @dataclass(frozen=True)

@@ -63,19 +63,22 @@ def zero_window_gain(ch: ChannelParams, tap: TapConfig) -> float:
     return eta * num**2 / den**2
 
 
-def tap_outcome_std(ch: ChannelParams, tap: TapConfig) -> tuple[float, float]:
-    """Standard deviation of the tap read-out per quadrature (coherent input)."""
+def _require_heterodyne(tap: TapConfig) -> None:
+    if tap.detector is not Detector.HETERODYNE:
+        raise ValueError("heralding post-selects dual-quadrature tap outcomes")
+
+
+def tap_outcome_std(ch: ChannelParams, tap: TapConfig) -> float:
+    """Standard deviation of each heterodyne tap read-out (coherent input)."""
+    _require_heterodyne(tap)
     a_t = tap.gamma * ((1.0 - ch.eta) + ch.eta * ch.v_env) + (1.0 - tap.gamma)
-    if tap.detector is Detector.HETERODYNE:
-        s = math.sqrt((a_t + 1.0) / 2.0)
-        return s, s
-    return math.sqrt(a_t), 1.0
+    return math.sqrt((a_t + 1.0) / 2.0)
 
 
 def scaled_window(ch: ChannelParams, tap: TapConfig, scale: float) -> HeraldWindow:
-    """Window with half-widths scale x the tap read-out standard deviation."""
-    sx, sp = tap_outcome_std(ch, tap)
-    return HeraldWindow(scale * sx, scale * sp)
+    """Window with both half-widths scale x the tap read-out standard deviation."""
+    half = scale * tap_outcome_std(ch, tap)
+    return HeraldWindow(half, half)
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,7 @@ def heralded_statistics(
     """
     if n < 10_000:
         raise ValueError("heralded statistics needs n >= 10^4")
-    if tap.detector is not Detector.HETERODYNE:
-        raise ValueError("heralding post-selects dual-quadrature tap outcomes")
+    _require_heterodyne(tap)
     moments = montecarlo.windowed_moments(
         ch, tap, PROBE_MEAN, (window.x_th, window.p_th), n, seed
     )

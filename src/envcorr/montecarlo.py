@@ -411,10 +411,13 @@ def estimate_zero_window(moments: Moments, input_mean: tuple[float, float]):
     variance r has variance 2 r^2/(m - 1) and, independently of it, the
     prediction c at tap 0 has variance r (1/m + mean_t^2/m2_t). The gain
     g = amp^2, amp = (c_x/mu_x + c_p/mu_p)/2, and the noise r/g - 1 carry
-    them by the delta method.
+    them by the delta method. Both quadratures divide by the one g, so their
+    average (r_x + r_p)/(2 g) - 1 carries Var g once, not as two independent
+    shares.
 
     Returns {"added_noise_x": (v, err), "added_noise_p": (v, err),
-             "gain": (g, err)}.
+             "added_noise": (v, err), "gain": (g, err)}; "added_noise" is the
+    average of the two quadratures.
     """
     if min(abs(input_mean[0]), abs(input_mean[1])) < 5.0:
         raise ValueError("input mean must be >= 5 shot-noise sigma per quadrature")
@@ -425,14 +428,23 @@ def estimate_zero_window(moments: Moments, input_mean: tuple[float, float]):
     var, cov = m2 / (m - 1), moments.co / (m - 1)
     s, t, mean_in = _SIG, _TAP_MODE, np.asarray(input_mean, dtype=float)
     resid = var[s] - cov**2 / var[t]
+    # the difference cancels as v_env grows: its rounding, about 4 eps var[s],
+    # must stay under a tenth of the residual's statistical error
+    if not np.all(4.0 * np.finfo(float).eps * var[s] <= 0.1 * resid * np.sqrt(2.0 / (m - 1))):
+        raise ValueError("zero-window regression: the residual variance is lost to rounding")
     pred = mean[s] - cov / var[t] * mean[t]
     pred_var = resid * (1.0 / m + mean[t] ** 2 / m2[t])
     gain = (0.5 * (pred[0] / mean_in[0] + pred[1] / mean_in[1])) ** 2
     gain_var = gain * np.sum(pred_var / mean_in**2)
     noise = (resid - gain) / gain
     noise_err = np.sqrt(2.0 * resid**2 / (m - 1) / gain**2 + resid**2 * gain_var / gain**4)
+    avg_err = np.sqrt(
+        2.0 * np.sum(resid**2) / (m - 1) / (4.0 * gain**2)
+        + (0.5 * np.sum(resid)) ** 2 * gain_var / gain**4
+    )
     return {
         "added_noise_x": (float(noise[0]), float(noise_err[0])),
         "added_noise_p": (float(noise[1]), float(noise_err[1])),
+        "added_noise": (0.5 * (float(noise[0]) + float(noise[1])), float(avg_err)),
         "gain": (float(gain), float(np.sqrt(gain_var))),
     }

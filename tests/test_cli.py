@@ -771,6 +771,19 @@ REFUSALS = {
     "sweep-empty-value": ("values: empty entry", lambda d: sweep_argv(d, "0.5,,0.7")),
     "sweep-trailing-comma": ("values: empty entry", lambda d: sweep_argv(d, "0.5,0.7,")),
     "sweep-value-out-of-range": ("values", lambda d: sweep_argv(d, "0.5,1.5")),
+    # gamma * eta underflowed to 0 in the erasing plans: a ZeroDivisionError traceback
+    "sweep-eta-subnormal": ("values: eta=5e-324: eta", lambda d: sweep_argv(d, "5e-324")),
+    "eta-subnormal": ("channel.eta", lambda d: run_argv(
+        d, channel={"eta": 5e-324, "v_env": 5.0}, strategy="erasing-het", mc={"n": 10_000}
+    )),
+    # (1 - eta)/eta overflowed: inf - inf wrote a nan excess-noise estimate
+    "eta-noise-overflow": ("channel.eta", lambda d: run_argv(
+        d, channel={"eta": 1e-310, "v_env": 1.0}, strategy="none", mc={"n": 10_000}
+    )),
+    # (v - 1) ** 2 overflowed in a closed form: exit 4 naming no quantity
+    "v-env-square-overflow": ("channel.v_env", lambda d: run_argv(
+        d, channel={"eta": 0.9, "v_env": 1e160}
+    )),
     "fig5-n-0": ("--n", lambda d: ["reproduce", "fig5", "--out", str(d / "out"), "--n", "0"]),
     "measured-not-utf8": ("--measured", lambda d: measured_argv(d, b"gamma\n\xff\xfe\n")),
     "measured-no-header": (
@@ -844,6 +857,14 @@ def near_valid_configs(draw) -> dict:
     return config
 
 
+def extreme_channel(strategy: str, eta: float, v_env: float, gamma: float = 0.5) -> dict:
+    return {
+        "channel": {"eta": eta, "v_env": v_env}, "tap": {"gamma": gamma},
+        "strategy": strategy, "mc": {"n": 10_000}, "qkd": {"sigma": 40.0},
+        "output": {"path": "fuzz", "format": "both"},
+    }
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(config=near_valid_configs())
 @example(config={  # erasing noise ~1e160: the key rates were inf - inf = nan
@@ -851,6 +872,13 @@ def near_valid_configs(draw) -> dict:
     "strategy": "erasing-het", "qkd": {"sigma": 40.0},
     "output": {"path": "fuzz", "format": "both"},
 })
+# gamma * eta underflowed to 0 in the erasing plans: a ZeroDivisionError traceback
+@example(config=extreme_channel("erasing-hom", 5e-324, 5.0))
+@example(config=extreme_channel("erasing-het", 5e-324, 5.0))
+# (1 - eta)/eta overflowed: the excess-noise estimate was inf - inf = nan
+@example(config=extreme_channel("none", 1e-310, 1.0))
+# (v - 1) ** 2 overflowed: exit 4 with a message that named nothing
+@example(config=extreme_channel("herald", 0.9, 1e160) | {"window": {"x_th": 2.0, "p_th": 2.0}})
 def test_run_boundary_exits_with_a_documented_code_and_writes_no_nan(config):
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "config.json"
@@ -865,5 +893,92 @@ def test_run_boundary_exits_with_a_documented_code_and_writes_no_nan(config):
             csv = (out / "fuzz.csv").read_text(encoding="utf-8")
             assert "nan" not in csv.replace("\n", ",").split(","), csv
             assert "NaN" not in (out / "fuzz.json").read_text(encoding="utf-8")
+        else:
+            assert not out.exists()
+
+
+# argument values the `reproduce` and `sweep` fuzz draws from: (usual, rare), the
+# rare ones malformed or out of range; fig5 costs O(n), so it draws no large --n
+N_ARGS = (("0", "10000", "20000", str(2**53)), ("-1", "1", "9999", "1e5", str(2**53 + 1)))
+FIG5_N_ARGS = (("10000", "20000"), ("-1", "0", "9999", "1e5", str(2**53 + 1)))
+SEED_ARGS = (("0", "7", str(2**64 - 1)), ("-1", str(2**64), "x"))
+TARGETS = (("fig3", "fig4", "fig5", "table1"), ("fig6", "FIG3"))
+AXES = (("eta", "v_env", "gamma"), ("sigma", ""))
+MALFORMED = ("-1", "1e400", "inf", "nan", "abc", "")
+# axis -> its values at the edges of the channel's range, and beyond them
+VALUE_ARGS = {
+    "eta": (("0.5", "1", " 0.9", "1e-300", "1e-310", "5e-324"), MALFORMED),
+    "v_env": (("1", "25", "1e12", "1e14", "1e150", "1e160", "1e300"), MALFORMED),
+    "gamma": (("0", "0.5", "1", "1e-300", "5e-324"), MALFORMED),
+}
+MEASURED_GAMMAS = (tuple(map(str, cli.TABLE1_GAMMAS)), ("0.3", "1e-300", "nan", "x"))
+MEASURED_CELLS = (("0.1", "0.5", "1.1", "0", "1", "1e-300", "1e200"), MALFORMED)
+
+
+def pick(draw, values):
+    """One of the usual values, or one time in five a rare one."""
+    usual, rare = values
+    return draw(st.sampled_from(rare if draw(st.integers(0, 4)) == 0 else usual))
+
+
+@st.composite
+def preset_argvs(draw) -> tuple[list[str], dict]:
+    """A `reproduce` or `sweep` command line, and the files it reads by name."""
+    if draw(st.booleans()):
+        target = pick(draw, TARGETS)
+        n = pick(draw, FIG5_N_ARGS if target == "fig5" else N_ARGS)
+        argv = ["reproduce", target, "--n", n, "--seed", pick(draw, SEED_ARGS)]
+        files = {}
+        if draw(st.integers(0, 4)) < (3 if target == "table1" else 1):
+            rows = [
+                [pick(draw, MEASURED_GAMMAS)]
+                + [pick(draw, MEASURED_CELLS) for _ in range(pick(draw, ((3,), (2, 4))))]
+                for _ in range(draw(st.integers(0, 3)))
+            ]
+            header = draw(st.sampled_from(["gamma,v_x,v_p,gain", "0.92,1,1,1", ""]))
+            files["measured.csv"] = "\n".join([header, *map(",".join, rows)]) + "\n"
+            argv += ["--measured", "measured.csv"]
+        return argv, files
+    config = {
+        "channel": {"eta": 0.9, "v_env": 25.0}, "tap": {"gamma": 0.5},
+        "mc": {"n": draw(st.sampled_from([0, 10_000])), "seed": 7},
+        "output": {"path": "fuzz"},
+    }
+    axis = pick(draw, AXES)
+    usual = VALUE_ARGS.get(axis, VALUE_ARGS["eta"])
+    values = [pick(draw, usual) for _ in range(draw(st.integers(1, 3)))]
+    argv = ["sweep", "config.json", "--axis", axis, "--values", ",".join(values)]
+    return argv, {"config.json": json.dumps(config)}
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(case=preset_argvs())
+# gamma * eta underflowed to 0 in the erasing plans: a ZeroDivisionError traceback
+@example(case=(
+    ["sweep", "config.json", "--axis", "eta", "--values", "5e-324"],
+    {"config.json": json.dumps({
+        "channel": {"eta": 0.9, "v_env": 5.0}, "tap": {"gamma": 0.5}, "mc": {"n": 10_000},
+    })},
+))
+def test_preset_and_sweep_arguments_exit_with_a_documented_code_and_write_no_nan(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as workdir:
+        work = Path(workdir)
+        for name, text in files.items():
+            (work / name).write_text(text, encoding="utf-8")
+        argv = [str(work / a) if a in files else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([*argv, "--out", str(work / "out")])
+            except SystemExit as exc:  # argparse refuses a malformed --n or --seed
+                code = exc.code
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        out = work / "out"
+        if code == 0:
+            for path in out.iterdir():
+                text = path.read_text(encoding="utf-8")
+                assert "nan" not in text.replace("\n", ",").split(",") and "NaN" not in text, path
         else:
             assert not out.exists()

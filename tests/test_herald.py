@@ -53,12 +53,16 @@ class TestWindow:
 
     def test_scaled_window_uses_readout_std(self):
         ch, tap = ChannelParams(0.9, 25.0), TapConfig(0.7)
-        sx, sp = tap_outcome_std(ch, tap)
+        s = tap_outcome_std(ch, tap)
         tapped = 0.7 * (0.1 + 0.9 * 25.0) + 0.3
-        assert sx == pytest.approx(math.sqrt((tapped + 1) / 2), abs=1e-12)
-        assert sx == sp
+        assert s == pytest.approx(math.sqrt((tapped + 1) / 2), abs=1e-12)
         w = scaled_window(ch, tap, 0.5)
-        assert w.x_th == pytest.approx(0.5 * sx)
+        assert w.x_th == w.p_th == pytest.approx(0.5 * s)
+        # a homodyne tap is refused, not read as heterodyne
+        homodyne = TapConfig(0.7, Detector.HOMODYNE_X)
+        for helper in (tap_outcome_std, lambda c, t: scaled_window(c, t, 0.5)):
+            with pytest.raises(ValueError, match="dual-quadrature"):
+                helper(ch, homodyne)
 
 
 class TestZeroWindowForms:

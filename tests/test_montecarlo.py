@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from envcorr import montecarlo
+from envcorr import cli, montecarlo
 from envcorr.channel import ChannelParams, Detector, TapConfig
 from envcorr.feedforward import (
+    FeedforwardPlan,
     added_noise_het_state,
     added_noise_hom_ff,
     optimal_added_noise,
@@ -52,6 +54,12 @@ OPEN = (np.inf, np.inf)
 # keeps every trajectory of the batches below, yet is finite, so it is heralded
 WIDE = (1e300, 1e300)
 PROBE = (10.0, 10.0)
+
+
+def homodyne_tap_std(ch, tap):
+    """(x, p) read-out std of a homodyne tap: the tapped mode a_t, then the detector vacuum."""
+    a_t = tap.gamma * ((1.0 - ch.eta) + ch.eta * ch.v_env) + (1.0 - tap.gamma)
+    return math.sqrt(a_t), 1.0
 
 
 def column(records, name):
@@ -223,6 +231,19 @@ class TestEstimators:
         with pytest.raises(ValueError, match=message):
             estimate(moments(CH, het(0.5), PROBE, None, n, 3))
 
+    def test_zero_window_refuses_a_residual_lost_to_rounding(self):
+        # var - cov^2/var_t cancels as v_env grows: at 1e20 it went negative
+        # and the stderr cells read nan; at 1e12 it keeps its digits
+        tap = het(0.5)
+        for v_env in (1e14, 1e20):
+            batch = moments(ChannelParams(0.9, v_env), tap, PROBE, None, 10_000, 3)
+            with pytest.raises(ValueError, match="lost to rounding"):
+                estimate_zero_window(batch, PROBE)
+        ch = ChannelParams(0.9, 1e12)
+        batch = moments(ch, tap, PROBE, None, 10_000, 3)
+        value, err = estimate_zero_window(batch, PROBE)["added_noise"]
+        assert abs(value - zero_window_added_noise(ch, tap)) < 5 * err
+
     def test_windowed_moments_counts(self):
         tap = het(0.7)
         out = windowed_moments(CH, tap, (0.0, 0.0), (np.inf, np.inf), 30_000, 2)
@@ -247,12 +268,16 @@ class TestErrorPropagation:
     def test_zero_window_stderr_matches_spread(self, eta, gamma, v_env):
         # the analytic stderr against the seed-to-seed spread of the point
         # estimate; at eta 0.1, gamma 1, v_env 1 the mean_t^2/m2_t term is about
-        # 90/91 of the prediction's variance, at the other cell about 30%
-        ch, tap, r = ChannelParams(eta, v_env), het(gamma), 200
-        keys = ("added_noise_x", "added_noise_p", "gain")
+        # 90/91 of the prediction's variance, at the other cell about 30%.
+        # The averaged noise is read as `envcorr` prints it, from the same
+        # batch; both quadratures divide by one gain, so at eta 0.1 adding
+        # their stderrs as independent understates its spread by about 1.3x
+        ch, tap, r = ChannelParams(eta, v_env), het(gamma), 600
+        keys = ("added_noise_x", "added_noise_p", "gain", "zero_window_added_noise")
         values, variances = [], []
-        for seed in range(r):
-            est = estimate_zero_window(moments(ch, tap, PROBE, None, 100_000, 70_000 + seed), PROBE)
+        for seed in range(70_000, 70_000 + r):
+            est = estimate_zero_window(moments(ch, tap, PROBE, None, 100_000, seed), PROBE)
+            est.update(cli.mc_counterparts(ch, gamma, 100_000, seed, keys[3:]))
             values.append([est[key][0] for key in keys])
             variances.append([est[key][1] ** 2 for key in keys])
         values, variances = np.array(values), np.array(variances)
@@ -411,13 +436,15 @@ class TestMomentKernel:
             assert est[key][1] == pytest.approx(errs[i], rel=1e-12)
 
     def test_non_finite_moments_rejected(self):
-        # squares of 1e154-scale environment terms overflow the m2 sums, on
-        # the sufficient-statistic path (window None) and the heralded path
+        # a 1e300 feedforward gain overflows the m2 sums, on the
+        # sufficient-statistic path (window None) and the heralded path
+        # (ChannelParams refuses an environment whose square overflows)
+        plan = FeedforwardPlan(1e300, 1e300, 1.0)
         for window in (None, WIDE):
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                ValueError, match="finite"
+                ValueError, match="trajectory moments must be finite"
             ):
-                windowed_moments(ChannelParams(0.5, 1e308), het(0.5), (0.0, 0.0), window, 10_000, 1)
+                windowed_moments(CH, het(0.5), (0.0, 0.0), window, 10_000, 1, plan=plan)
 
 
 # -- sufficient-statistic sampler (window-free batches) -------------------------
@@ -619,16 +646,17 @@ class TestHeraldedSampler:
     )
     def test_moments_agree_with_windowed_records(self, tap, planner, scale):
         plan = planner(CH, tap) if planner else None
-        window = scaled_window(CH, tap, scale)
+        if tap.detector is Detector.HETERODYNE:
+            window = (scaled_window(CH, tap, scale).x_th,) * 2
+        else:  # the herald helpers read only heterodyne taps
+            window = tuple(scale * s for s in homodyne_tap_std(CH, tap))
         heralded, records = [], []
         for r in range(self.R):
-            drawn = windowed_moments(
-                CH, tap, PROBE, (window.x_th, window.p_th), self.N, 60_000 + r, plan=plan
-            )
+            drawn = windowed_moments(CH, tap, PROBE, window, self.N, 60_000 + r, plan=plan)
             heralded.append(moment_outputs(drawn.n_accepted, drawn.mean, drawn.m2, drawn.co))
             batch = sample(CH, tap, PROBE, plan, self.N, r)
-            keep = (np.abs(column(batch, "x_tap")) <= window.x_th) & (
-                np.abs(column(batch, "p_tap")) <= window.p_th
+            keep = (np.abs(column(batch, "x_tap")) <= window[0]) & (
+                np.abs(column(batch, "p_tap")) <= window[1]
             )
             records.append(moment_outputs(*record_summary(batch[keep])))
         heralded, records = np.array(heralded), np.array(records)
@@ -759,11 +787,15 @@ class TestTapFrame:
         # box on u - u0, and |s| is the read-out's standard deviation
         for eta, v_env, gamma in [(0.1, 1.0, 0.0), (0.5, 5.0, 0.3), (0.9, 25.0, 1.0)]:
             ch, tap = ChannelParams(eta, v_env), TapConfig(gamma, detector)
+            if detector is Detector.HETERODYNE:
+                std = (tap_outcome_std(ch, tap),) * 2
+            else:
+                std = homodyne_tap_std(ch, tap)
             for input_mean in [(0.0, 0.0), PROBE, (1e7, -1e7)]:
                 t_map, c = montecarlo._read_map(ch, tap, input_mean, None, montecarlo._TAP_INDEX)
                 q, scale, centre = montecarlo._tap_frame(ch, tap, input_mean)
                 frame = t_map @ q[:, :2]
                 assert frame[0, 1] == 0.0 and frame[1, 0] == 0.0
                 assert np.diagonal(frame) == pytest.approx(scale, rel=1e-12)
-                assert np.abs(scale) == pytest.approx(tap_outcome_std(ch, tap), rel=1e-12)
+                assert np.abs(scale) == pytest.approx(std, rel=1e-12)
                 assert scale * centre == pytest.approx(-c, rel=1e-12)
