@@ -22,8 +22,9 @@ class Detector(enum.Enum):
 class ChannelParams:
     """Transmission eta in (0,1] and environment variance v_env >= 1.
 
-    The closed forms square v_env and scale it by (1-eta)/eta, so both
-    v_env^2 and the uncorrected added noise must be finite floats.
+    The closed forms square v_env and scale it by 1/eta, so both v_env^2 and
+    the largest of them, the receiver's added noise ((1-eta) v_env + 1)/eta,
+    must be finite floats.
     """
 
     eta: float
@@ -36,8 +37,10 @@ class ChannelParams:
             raise ValueError(
                 "v_env must be >= 1 (thermal or vacuum environment) and its square finite"
             )
-        if not math.isfinite(added_noise_uncorrected(self)):
-            raise ValueError("eta too small: the added noise (1-eta)/eta * v_env overflows")
+        if not math.isfinite(((1.0 - self.eta) * self.v_env + 1.0) / self.eta):
+            raise ValueError(
+                "eta too small: the receiver's added noise ((1-eta) v_env + 1)/eta overflows"
+            )
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,51 @@ class HeraldResult:
     n_total: int
 
 
+def heralded_ladder(rungs, n: int, seed: int) -> list[HeraldResult]:
+    """Monte Carlo estimates of the heralded channel for each rung (ch, tap, window).
+
+    Each estimate reads the accepted trajectories of its rung's batch at
+    (n, seed). The receiver's heterodyne read-out variance, input-referred
+    against the gain estimated from the accepted first moments, gives the
+    added noise. The input is the coherent state of mean PROBE_MEAN.
+    Deterministic in (inputs, seed); each result equals its rung's own
+    `heralded_statistics`, but the rungs share one draw of the tap normals,
+    so the errors of rungs that share a seed are correlated. Every rung is
+    checked before anything is drawn. Raises HeraldNoYieldError, for the
+    first rung in order, when fewer than two trajectories survive.
+    """
+    if n < 10_000:
+        raise ValueError("heralded statistics needs n >= 10^4")
+    for _, tap, _ in rungs:
+        _require_heterodyne(tap)
+    ladder = montecarlo.ladder_moments(
+        [(ch, tap, PROBE_MEAN, (window.x_th, window.p_th)) for ch, tap, window in rungs], n, seed
+    )
+    results = []
+    for moments in ladder:
+        m = moments.n_accepted
+        if m < 2:
+            raise HeraldNoYieldError(f"acceptance window kept {m} of {n} trajectories", m / n)
+        gain, gain_err = montecarlo.estimate_gain(moments, PROBE_MEAN, where="receiver")
+        # the noise is input-referred against the estimated gain, so its stderr carries the gain's
+        (v_x, err_x), (v_p, err_p) = (
+            (v, math.hypot(err, (v + 1.0) / gain * gain_err))
+            for v, err in montecarlo.estimate_added_noise(moments, gain, "receiver")
+        )
+        results.append(HeraldResult(
+            added_noise_x=v_x,
+            added_noise_x_stderr=err_x,
+            added_noise_p=v_p,
+            added_noise_p_stderr=err_p,
+            gain=gain,
+            gain_stderr=gain_err,
+            success_prob=m / n,
+            n_accepted=m,
+            n_total=n,
+        ))
+    return results
+
+
 def heralded_statistics(
     ch: ChannelParams,
     tap: TapConfig,
@@ -101,40 +146,6 @@ def heralded_statistics(
     n: int,
     seed: int,
 ) -> HeraldResult:
-    """Monte Carlo estimate of the heralded channel over accepted trajectories.
-
-    The receiver's heterodyne read-out variance, input-referred against the
-    gain estimated from the accepted first moments, gives the added noise.
-    The input is the coherent state of mean PROBE_MEAN. Deterministic in
-    (inputs, seed). Raises HeraldNoYieldError when fewer than two
-    trajectories survive.
-    """
-    if n < 10_000:
-        raise ValueError("heralded statistics needs n >= 10^4")
-    _require_heterodyne(tap)
-    moments = montecarlo.windowed_moments(
-        ch, tap, PROBE_MEAN, (window.x_th, window.p_th), n, seed
-    )
-    m = moments.n_accepted
-    success = m / n
-    if m < 2:
-        raise HeraldNoYieldError(f"acceptance window kept {m} of {n} trajectories", success)
-
-    gain, gain_err = montecarlo.estimate_gain(moments, PROBE_MEAN, where="receiver")
-    # the noise is input-referred against the estimated gain, so its stderr carries the gain's
-    (v_x, err_x), (v_p, err_p) = (
-        (v, math.hypot(err, (v + 1.0) / gain * gain_err))
-        for v, err in montecarlo.estimate_added_noise(moments, gain, "receiver")
-    )
-
-    return HeraldResult(
-        added_noise_x=v_x,
-        added_noise_x_stderr=err_x,
-        added_noise_p=v_p,
-        added_noise_p_stderr=err_p,
-        gain=gain,
-        gain_stderr=gain_err,
-        success_prob=success,
-        n_accepted=m,
-        n_total=n,
-    )
+    """`heralded_ladder` of the one rung (ch, tap, window)."""
+    (result,) = heralded_ladder([(ch, tap, window)], n, seed)
+    return result

@@ -38,6 +38,11 @@ which is mapped once through (A, b).
   scatter with u F H (H: k x 8 standard normals) and scatter H^T H +
   Wishart(I8, m - 1 - k). Rotated back by Q, that is the batch's one block.
   A window open in both quadratures keeps all n: its batch is window-free.
+- Heralded batches that share (n, seed) form a ladder and share one pass of
+  u draws; each rung windows and reduces its own d, then draws H and w from
+  its own copy of the generator state after the u draws. Each rung's block
+  is thus its own batch's, byte for byte, and the rungs' errors are
+  correlated.
 
 Every draw of a batch comes from one generator,
 `default_rng(SeedSequence(seed, spawn_key=(0,)))`, shard after shard.
@@ -239,42 +244,65 @@ def _normal_statistics(rng: np.random.Generator, m: int, dim: int):
     return mean, (z - mean).T @ (z - mean)
 
 
-def _accepted_statistics(ch, tap, input_mean, window, n: int, seed: int):
-    """Count, mean (NORMALS,) and scatter of the accepted draws of Z.
+def _accepted_statistics(rungs, n: int, seed: int) -> list:
+    """Count, mean (NORMALS,) and scatter of the accepted draws of Z, per rung.
 
-    Shards draw u only and reduce the accepted offsets d = u - u0 from the
-    window centre with the window mask as weights, pooled shard by shard; the
-    rest is drawn from its exact law given those (see the module docstring).
+    A rung is (ch, tap, input_mean, window), and all rungs share (n, seed).
+    One pass draws u shard by shard, and each rung reduces its own accepted
+    offsets d = u - u0 from its window centre with its window mask as weights,
+    pooled shard by shard. Each rung then draws the rest from its exact law
+    given those (see the module docstring), from its own copy of the
+    generator state after the u draws. So every rung gets the block a batch
+    of its own would, and rungs that share (n, seed) share their u. A rung
+    whose window is open in both quadratures (or None) keeps all n: it draws
+    the window-free block from a fresh generator.
     """
-    q, scale, centre = _tap_frame(ch, tap, input_mean)
+    blocks, frames = [None] * len(rungs), {}
+    for i, (ch, tap, input_mean, window) in enumerate(rungs):
+        if window is None or window[0] == window[1] == np.inf:
+            blocks[i] = (n, *_normal_statistics(_generator(seed), n, NORMALS))
+        else:
+            frames[i] = _tap_frame(ch, tap, input_mean)
+    if not frames:
+        return blocks
     rng = _generator(seed)
-    m, offset, s_uu = 0, np.zeros(2), np.zeros((2, 2))
-    for _, d in _shards(rng, n, 2):
-        d -= centre[:, None]
-        keep = np.abs(scale[0] * d[0]) <= window[0]
-        keep &= np.abs(scale[1] * d[1]) <= window[1]
-        # centre the shard on its accepted mean: a wide window far from u0 loses no digits
-        count = np.count_nonzero(keep)
-        shard_mean = d @ keep / max(count, 1)
-        d -= shard_mean[:, None]
-        # Chan merge of the running block and the shard's
-        counts, means = np.array([m, count]), np.array([offset, shard_mean])
-        m = int(counts.sum())
-        offset = counts @ means / max(m, 1)
-        dev = means - offset
-        s_uu = s_uu + (d * keep) @ d.T + (dev.T * counts) @ dev
-    if m == 0:
-        return 0, np.zeros(NORMALS), np.zeros((NORMALS, NORMALS))
-    # F F^T = S_uu over its positive eigenvalues; m draws span at most m - 1
-    values, vectors = np.linalg.eigh(s_uu)
-    k = min(int(np.count_nonzero(values > 0.0)), m - 1)
-    f = vectors[:, 2 - k :] * np.sqrt(values[2 - k :])
-    h = rng.standard_normal((k, NORMALS - 2))
-    # w off the k directions of the centred u: m - k iid N(0, I8) draws
-    w_mean, w_scatter = _normal_statistics(rng, m - k, NORMALS - 2)
-    mean = np.concatenate([centre + offset, w_mean * np.sqrt((m - k) / m)])
-    scatter = np.block([[s_uu, f @ h], [(f @ h).T, h.T @ h + w_scatter]])
-    return m, q @ mean, q @ scatter @ q.T
+    pooled = {i: (0, np.zeros(2), np.zeros((2, 2))) for i in frames}
+    offsets = np.empty(2 * SHARD_SIZE)
+    for _, u in _shards(rng, n, 2):
+        d = offsets[: u.size].reshape(u.shape)
+        for i, (_, scale, centre) in frames.items():
+            window, (m, offset, s_uu) = rungs[i][3], pooled[i]
+            np.subtract(u, centre[:, None], out=d)
+            keep = np.abs(scale[0] * d[0]) <= window[0]
+            keep &= np.abs(scale[1] * d[1]) <= window[1]
+            # centre the shard on its accepted mean: a wide window far from u0 loses no digits
+            count = np.count_nonzero(keep)
+            shard_mean = d @ keep / max(count, 1)
+            d -= shard_mean[:, None]
+            # Chan merge of the running block and the shard's
+            counts, means = np.array([m, count]), np.array([offset, shard_mean])
+            m = int(counts.sum())
+            offset = counts @ means / max(m, 1)
+            dev = means - offset
+            pooled[i] = m, offset, s_uu + (d * keep) @ d.T + (dev.T * counts) @ dev
+    after_u = rng.bit_generator.state
+    for i, (q, _, centre) in frames.items():
+        m, offset, s_uu = pooled[i]
+        if m == 0:
+            blocks[i] = 0, np.zeros(NORMALS), np.zeros((NORMALS, NORMALS))
+            continue
+        rng.bit_generator.state = after_u
+        # F F^T = S_uu over its positive eigenvalues; m draws span at most m - 1
+        values, vectors = np.linalg.eigh(s_uu)
+        k = min(int(np.count_nonzero(values > 0.0)), m - 1)
+        f = vectors[:, 2 - k :] * np.sqrt(values[2 - k :])
+        h = rng.standard_normal((k, NORMALS - 2))
+        # w off the k directions of the centred u: m - k iid N(0, I8) draws
+        w_mean, w_scatter = _normal_statistics(rng, m - k, NORMALS - 2)
+        mean = np.concatenate([centre + offset, w_mean * np.sqrt((m - k) / m)])
+        scatter = np.block([[s_uu, f @ h], [(f @ h).T, h.T @ h + w_scatter]])
+        blocks[i] = m, q @ mean, q @ scatter @ q.T
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -299,6 +327,30 @@ class Moments:
         return count, float(self.mean[i]), float(self.m2[i]) / (count - 1)
 
 
+def _check_batch(rungs, n: int, seed: int) -> int:
+    """Validate a batch's n, seed and every rung's window; return the seed."""
+    _check_n(n)
+    seed = _check_seed(seed)
+    for *_, window in rungs:
+        if window is not None and not (window[0] >= 0.0 and window[1] >= 0.0):
+            raise ValueError("window half-widths must be non-negative numbers")
+    return seed
+
+
+def _moments(ch, tap, input_mean, plan, block) -> Moments:
+    """Map a block of (count, mean of Z, scatter of Z) through `affine_map`."""
+    count, mean, scatter = block
+    a, b = affine_map(ch, tap, input_mean, plan)
+    # an overflow here reads inf or nan, which the finite check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_mean = a @ mean + b
+        y_scatter = a @ scatter @ a.T
+    m2, co = np.diagonal(y_scatter), y_scatter[_SIG, _TAP_MODE]
+    if not all(np.all(np.isfinite(values)) for values in (y_mean, m2, co)):
+        raise ValueError("trajectory moments must be finite")
+    return Moments(count, y_mean, m2, co)
+
+
 def windowed_moments(
     ch: ChannelParams,
     tap: TapConfig,
@@ -320,22 +372,20 @@ def windowed_moments(
     from exact statistics (see the module docstring), mapped once through
     `affine_map`. A window open in both quadratures draws the window-free one.
     """
-    _check_n(n)
-    seed = _check_seed(seed)
-    if window is not None and not (window[0] >= 0.0 and window[1] >= 0.0):
-        raise ValueError("window half-widths must be non-negative numbers")
-    if window is None or window[0] == window[1] == np.inf:
-        count = n
-        mean, scatter = _normal_statistics(_generator(seed), n, NORMALS)
-    else:
-        count, mean, scatter = _accepted_statistics(ch, tap, input_mean, window, n, seed)
-    a, b = affine_map(ch, tap, input_mean, plan)
-    y_mean = a @ mean + b
-    y_scatter = a @ scatter @ a.T
-    m2, co = np.diagonal(y_scatter), y_scatter[_SIG, _TAP_MODE]
-    if not all(np.all(np.isfinite(values)) for values in (y_mean, m2, co)):
-        raise ValueError("trajectory moments must be finite")
-    return Moments(count, y_mean, m2, co)
+    rung = (ch, tap, input_mean, window)
+    (block,) = _accepted_statistics([rung], n, _check_batch([rung], n, seed))
+    return _moments(ch, tap, input_mean, plan, block)
+
+
+def ladder_moments(rungs, n: int, seed: int) -> list[Moments]:
+    """`windowed_moments` of each rung (ch, tap, input_mean, window), without feedforward.
+
+    Every rung's moments equal those of its own batch at (n, seed), byte for
+    byte, but the rungs share one draw of the tap normals. Raises before
+    drawing if any rung's window is invalid.
+    """
+    blocks = _accepted_statistics(rungs, n, _check_batch(rungs, n, seed))
+    return [_moments(*rung[:3], None, block) for rung, block in zip(rungs, blocks)]
 
 
 # -- estimators ---------------------------------------------------------------

@@ -30,6 +30,7 @@ from envcorr.feedforward import (
 )
 from envcorr.herald import (
     PROBE_MEAN,
+    heralded_ladder,
     heralded_statistics,
     scaled_window,
     zero_window_added_noise,
@@ -203,9 +204,10 @@ def test_criterion_7_herald_limits():
     ch, tap = ChannelParams(0.9, 25.0), TapConfig(0.7)
     input_mean = PROBE_MEAN
     scales = (math.inf, 2.0, 1.2, 0.8, 0.4, 0.05)
-    ladder = []
-    for scale in scales:
-        ladder.append(heralded_statistics(ch, tap, scaled_window(ch, tap, scale), n, seed))
+    # one ladder call: the six batches share one draw of the tap normals
+    ladder = heralded_ladder(
+        [(ch, tap, scaled_window(ch, tap, scale)) for scale in scales], n, seed
+    )
 
     probs = [r.success_prob for r in ladder]
     assert all(a > b for a, b in zip(probs, probs[1:])), probs

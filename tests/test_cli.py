@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,19 @@ class TestRun:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numeric error: key rate: not finite at added noise ")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_estimate_beyond_the_float_range_is_a_numeric_error(self, tmp_path, capsys):
+        # eta 1.12e-308 is inside the channel's range, but the x and p noise
+        # estimates, each about 1/eta = 9e307, average through a sum that overflows
+        cfg = write_config(
+            tmp_path, channel={"eta": 1.12e-308, "v_env": 1.0}, tap={"gamma": 0.5},
+            strategy="none", mc={"n": 10_000, "seed": 1},
+        )
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == (
+            "numeric error: added_noise_uncorrected: the Monte Carlo estimate is not finite\n"
+        )
         assert not (tmp_path / "out.csv").exists()
 
     def test_herald_no_yield_exit_code(self, tmp_path):
@@ -857,6 +871,10 @@ def near_valid_configs(draw) -> dict:
     return config
 
 
+# the `run` CSV cells a Monte Carlo batch fills
+MC_CELLS = ("mc_estimate", "mc_stderr")
+
+
 def extreme_channel(strategy: str, eta: float, v_env: float, gamma: float = 0.5) -> dict:
     return {
         "channel": {"eta": eta, "v_env": v_env}, "tap": {"gamma": gamma},
@@ -879,20 +897,29 @@ def extreme_channel(strategy: str, eta: float, v_env: float, gamma: float = 0.5)
 @example(config=extreme_channel("none", 1e-310, 1.0))
 # (v - 1) ** 2 overflowed: exit 4 with a message that named nothing
 @example(config=extreme_channel("herald", 0.9, 1e160) | {"window": {"x_th": 2.0, "p_th": 2.0}})
+# ((1 - eta) v_env + 1)/eta overflowed: exit 0 with an inf estimate of the added noise
+@example(config={k: v for k, v in extreme_channel("none", 6e-309, 1.0).items() if k != "qkd"})
+# the erasing gain ~1e306 overflowed the moments' matmul: a RuntimeWarning before exit 4
+@example(config=extreme_channel("erasing-het", 1e-300, 25.0, 1e-6))
 def test_run_boundary_exits_with_a_documented_code_and_writes_no_nan(config):
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = cli.main(["run", str(path), "--out", str(Path(workdir) / "out")])
         assert code in (0, 2, 3, 4), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        # a refusal prints its one-line message and nothing else
+        assert not caught and err.getvalue().count("\n") == int(code != 0), err.getvalue()
         out = Path(workdir) / "out"
         if code == 0:
             csv = (out / "fuzz.csv").read_text(encoding="utf-8")
             assert "nan" not in csv.replace("\n", ",").split(","), csv
             assert "NaN" not in (out / "fuzz.json").read_text(encoding="utf-8")
+            rows = read_rows(out / "fuzz.csv")
+            assert all(r[k] not in ("inf", "-inf") for r in rows for k in MC_CELLS), csv
         else:
             assert not out.exists()
 

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from envcorr import montecarlo
 from envcorr.channel import ChannelParams, Detector, TapConfig
 from envcorr.feedforward import receiver_added_noise
 from envcorr.herald import (
+    PROBE_MEAN,
     HeraldNoYieldError,
     HeraldWindow,
+    heralded_ladder,
     heralded_statistics,
     scaled_window,
     tap_outcome_std,
@@ -141,17 +144,64 @@ class TestHeraldedStatistics:
             heralded_statistics(ch, tap, HeraldWindow(1e-6, 1e-6), 10_000, 3)
         assert err.value.success_prob == 0.0
 
-    def test_requires_heterodyne_tap(self):
+    def test_ladder_no_yield_names_the_first_failing_rung(self):
+        # the error the per-batch loop raises first, with its count and success
+        ch, tap, n, seed = ChannelParams(0.9, 25.0), TapConfig(0.7), 10_000, 3
+        _, x, p = heralded_readouts(ch, tap, PROBE_MEAN, n, seed)
+        nearest = np.sort(np.maximum(np.abs(x), np.abs(p)))[0]
+        keeps_one, keeps_none = HeraldWindow(nearest, nearest), HeraldWindow(0.0, 0.0)
+        wide = scaled_window(ch, tap, 1.0)
+        for windows, kept in ([wide, keeps_one, keeps_none], 1), ([wide, keeps_none, keeps_one], 0):
+            rungs = [(ch, tap, window) for window in windows]
+            with pytest.raises(HeraldNoYieldError) as loop:
+                for rung in rungs:
+                    heralded_statistics(*rung, n, seed)
+            with pytest.raises(HeraldNoYieldError) as ladder:
+                heralded_ladder(rungs, n, seed)
+            assert str(ladder.value) == str(loop.value) == (
+                f"acceptance window kept {kept} of {n} trajectories"
+            )
+            assert ladder.value.success_prob == loop.value.success_prob == kept / n
+
+    def test_requires_heterodyne_tap(self, monkeypatch):
         ch = ChannelParams(0.9, 25.0)
         with pytest.raises(ValueError):
             heralded_statistics(
                 ch, TapConfig(0.7, Detector.HOMODYNE_X), HeraldWindow(1, 1), 10_000, 1
             )
+        # a ladder checks every rung before it draws anything
+        monkeypatch.setattr(montecarlo, "_generator", None)
+        rungs = [
+            (ch, TapConfig(0.7, detector), HeraldWindow(1, 1))
+            for detector in (Detector.HETERODYNE, Detector.HOMODYNE_X)
+        ]
+        with pytest.raises(ValueError, match="dual-quadrature"):
+            heralded_ladder(rungs, 10_000, 1)
 
     def test_minimum_sample_count(self):
         ch, tap = ChannelParams(0.9, 25.0), TapConfig(0.7)
         with pytest.raises(ValueError):
             heralded_statistics(ch, tap, HeraldWindow(1, 1), 100, 1)
+
+    def test_stderrs_match_spread(self):
+        # the printed stderrs against the seed-to-seed spread of the estimates
+        # at two window scales (about 4200 and 660 kept), with one ladder call
+        # per seed: an F-test of the spread against the mean printed variance,
+        # two-sided at the 5 sigma level, as for the zero-window estimate
+        ch, tap, n, r = ChannelParams(0.9, 25.0), TapConfig(0.7), 10_000, 600
+        rungs = [(ch, tap, scaled_window(ch, tap, scale)) for scale in (1.0, 0.35)]
+        keys = ("added_noise_x", "added_noise_p", "gain")
+        values, variances = [], []
+        for seed in range(80_000, 80_000 + r):
+            ladder = heralded_ladder(rungs, n, seed)
+            values.append([getattr(res, key) for res in ladder for key in keys])
+            variances.append([getattr(res, f"{key}_stderr") ** 2 for res in ladder for key in keys])
+        values, variances = np.array(values), np.array(variances)
+        level = 2 * scipy_stats.norm.sf(5.0)
+        spread = scipy_stats.chi2(r - 1)
+        for j, ratio in enumerate(np.var(values, axis=0, ddof=1) / variances.mean(axis=0)):
+            p = 2 * min(spread.cdf((r - 1) * ratio), spread.sf((r - 1) * ratio))
+            assert p >= level, (rungs[j // 3][2], keys[j % 3], ratio)
 
     def test_small_window_approaches_measured_value_conditioning(self):
         # the physical zero-window limit is heterodyne conditioning on the

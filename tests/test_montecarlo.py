@@ -89,7 +89,7 @@ def trajectory_moments(ch, tap, input_mean, plan, n, seed, keep=None):
     mean = z.mean(axis=1)
     dev = z - mean[:, None]
     block = (z.shape[1], mean, dev @ dev.T)
-    with mock.patch.object(montecarlo, "_accepted_statistics", lambda *args: block):
+    with mock.patch.object(montecarlo, "_accepted_statistics", lambda *args: [block]):
         return windowed_moments(ch, tap, input_mean, WIDE, n, seed, plan=plan)
 
 
@@ -411,8 +411,8 @@ class TestMomentKernel:
             tracemalloc.stop()
         assert peak < 2**20
         assert out.n_accepted == kept.shape[1]
-        count, mean, drawn_scatter = montecarlo._accepted_statistics(
-            CH, tap, (3.0, -2.0), window, n, 29
+        ((count, mean, drawn_scatter),) = montecarlo._accepted_statistics(
+            [(CH, tap, (3.0, -2.0), window)], n, 29
         )
         # back in the tap frame, the first two coordinates are those of u
         q = montecarlo._tap_frame(CH, tap, (3.0, -2.0))[0][:, :2]
@@ -700,8 +700,8 @@ class TestHeraldedSampler:
         for seed in range(300):
             _, x, p = heralded_readouts(CH, tap, PROBE, n, seed)
             half = np.sort(np.maximum(np.abs(x), np.abs(p)))[accepted - 1]
-            count, mean, scatter = montecarlo._accepted_statistics(
-                CH, tap, PROBE, (half, half), n, seed
+            ((count, mean, scatter),) = montecarlo._accepted_statistics(
+                [(CH, tap, PROBE, (half, half))], n, seed
             )
             assert count == accepted
             mean, scatter = q.T @ mean, q.T @ scatter @ q
@@ -778,6 +778,34 @@ class TestHeraldedSampler:
     def test_invalid_window_refused(self, window):
         with pytest.raises(ValueError, match="non-negative"):
             windowed_moments(CH, het(0.7), PROBE, window, 10_000, 3)
+
+
+class TestHeraldedLadder:
+    def test_rungs_equal_their_single_window_batches(self):
+        # rungs on both fig5 channels (high and low noise) share one draw of
+        # the tap normals, yet each keeps the bytes of its own batch: an open
+        # window, one open in x only, one that keeps none, one that keeps 6
+        # (its w block takes the explicit m <= 8 path) and two scaled windows
+        eta, tap, n, seed = 0.9, het(0.7), 3 * SHARD_SIZE + 1234, 23
+        high, low = (ChannelParams(eta, (eta * t - 1) / (1 - eta)) for t in cli.FIG5_TARGETS)
+        _, x, p = heralded_readouts(low, tap, PROBE_MEAN, n, seed)
+        reach = np.sort(np.maximum(np.abs(x), np.abs(p)))
+        windows = [
+            (high, OPEN),
+            (high, (scaled_window(high, tap, 1.0).x_th,) * 2),
+            (low, (0.5 * reach[0],) * 2),
+            (high, (np.inf, 1.0)),
+            (low, (reach[5],) * 2),
+            (low, (scaled_window(low, tap, 0.35).x_th,) * 2),
+        ]
+        rungs = [(ch, tap, PROBE_MEAN, window) for ch, window in windows]
+        ladder = montecarlo.ladder_moments(rungs, n, seed)
+        assert [ladder[i].n_accepted for i in (0, 2, 4)] == [n, 0, 6]
+        for rung, got in zip(rungs, ladder):
+            want = windowed_moments(*rung, n, seed)
+            assert got.n_accepted == want.n_accepted
+            for a, b in ((got.mean, want.mean), (got.m2, want.m2), (got.co, want.co)):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestTapFrame:
