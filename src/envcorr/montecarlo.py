@@ -16,11 +16,11 @@ Record columns, in order:
     x_sig, p_sig      signal quadratures after feedforward, before the
                       receiver detector
 
-Each trajectory is 10 standard normals Z pushed through `_apply_optics`.
-The estimators need only the count, mean and scatter of the MOMENT_COLUMNS,
-which are Y = A Z + b; `affine_map` reads (A, b) off `_apply_optics`. So
-every batch is reduced to one block of (count, mean of Z, scatter of Z),
-which is mapped once through (A, b).
+Each trajectory is 10 standard normals Z pushed through `_apply_optics`,
+so its COLUMNS are A Z + b. `_read_map` reads (A, b) with one
+`_apply_optics` call, once per batch. The estimators need only the count,
+mean and scatter of the MOMENT_COLUMNS, so every batch is reduced to one
+block of (count, mean of Z, scatter of Z), mapped through their rows of (A, b).
 
 - Window-free batches draw their block from exact sufficient statistics.
   For m iid draws the mean of Z is N(0, I/m) and, independently, its
@@ -28,7 +28,7 @@ which is mapped once through (A, b).
   and a Bartlett factor of the scatter (10 chi-squares, 45 normals) instead
   of 10 m normals. Batches of 10 or fewer draw Z explicitly.
 - Heralded (windowed) batches draw 2 normals per trajectory. The tap
-  read-out t = T Z + c is read off `_apply_optics` like (A, b). With
+  read-out t = T Z + c is the x_tap, p_tap rows of the same (A, b). With
   Q R = T^T (complete QR), u = Q[:, :2]^T Z ~ N(0, I2) and w = Q[:, 2:]^T Z
   ~ N(0, I8) are independent. x_tap and p_tap draw on disjoint normals, so
   R[:2] is diagonal, s, and t = s (u - u0): the window is a box on the
@@ -107,9 +107,9 @@ def _apply_optics(
     """Turn NORMALS x size standard normals into the COLUMNS.
 
     The rows of draws are x_in, p_in, x_env, p_env, x_v1, p_v1, x_v2, p_v2,
-    x_vr, p_vr. This is the sampler's one definition of the optics:
-    `affine_map` and the tap frame read their maps off it, and `sample`
-    pushes every trajectory through it.
+    x_vr, p_vr. This is the sampler's one definition of the optics: a
+    batch's map, tap frame included, is read off it by one `_read_map` call,
+    and `sample` pushes every trajectory through it.
     """
     x_in, p_in, x_env, p_env, x_v1, p_v1, x_v2, p_v2, x_vr, p_vr = draws
     x_in, p_in = x_in + input_mean[0], p_in + input_mean[1]
@@ -136,40 +136,34 @@ def _apply_optics(
     return x_in, p_in, x_tap, p_tap, x_recv, p_recv, x_tm, p_tm, x_out, p_out
 
 
-def _read_map(ch, tap, input_mean, plan, rows):
-    """(A, b) such that the given rows of `_apply_optics` are A Z + b.
+def _read_map(ch, tap, input_mean, plan):
+    """(A, b) such that a trajectory's COLUMNS are A Z + b, from one `_apply_optics` call.
 
-    b is `_apply_optics` on a zero column. A is read at input mean (0, 0), off
-    the basis columns minus the zero column, so that it keeps its digits however
-    far the input mean shifts the read-outs.
+    The call takes a zero column, the basis columns and a column holding the
+    input mean in its x_in, p_in rows, all at input mean (0, 0). A is the
+    basis columns minus the zero column, so it keeps its digits however far
+    the input mean shifts the read-outs; b is the last column. A batch reads
+    its map once: the tap frame and the moments both slice it.
     """
-    draws = np.hstack([np.zeros((NORMALS, 1)), np.eye(NORMALS)])
-    cols = np.array(_apply_optics(ch, tap, (0.0, 0.0), plan, draws))[rows]
-    offset = np.array(_apply_optics(ch, tap, input_mean, plan, draws[:, :1]))[rows]
-    return cols[:, 1:] - cols[:, :1], offset[:, 0]
+    draws = np.zeros((NORMALS, NORMALS + 2))
+    draws[:, 1:-1] = np.eye(NORMALS)
+    draws[:2, -1] = input_mean
+    cols = np.array(_apply_optics(ch, tap, (0.0, 0.0), plan, draws))
+    return cols[:, 1:-1] - cols[:, :1], cols[:, -1]
 
 
-def affine_map(
-    ch: ChannelParams,
-    tap: TapConfig,
-    input_mean: tuple[float, float],
-    plan: Optional[FeedforwardPlan],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) such that a trajectory's MOMENT_COLUMNS are A Z + b (see `_read_map`)."""
-    return _read_map(ch, tap, input_mean, plan, _MOMENT_INDEX)
-
-
-def _tap_frame(ch: ChannelParams, tap: TapConfig, input_mean: tuple[float, float]):
+def _tap_frame(a: np.ndarray, b: np.ndarray):
     """(Q, s, u0): the tap read-out of Z is s (u - u0) with u = Q[:, :2]^T Z.
 
-    Q R is the complete QR of T^T (t = T Z + c), s the diagonal of R[:2] and
-    u0 = -c / s the window centre t = 0. R[:2] is diagonal and s has no zero:
+    (a, b) is a batch's `_read_map`, of which only the tap rows t = T Z + c
+    are read; they come before any feedforward, so the plan does not move
+    them. Q R is the complete QR of T^T, s the diagonal of R[:2] and u0 =
+    -c / s the window centre t = 0. R[:2] is diagonal and s has no zero:
     x_tap draws only on x-quadrature normals, p_tap only on p-quadrature
     ones, and neither row vanishes.
     """
-    t_map, c = _read_map(ch, tap, input_mean, None, _TAP_INDEX)
-    q, r = np.linalg.qr(t_map.T, mode="complete")
-    return q, np.diagonal(r), -c / np.diagonal(r)
+    q, r = np.linalg.qr(a[_TAP_INDEX].T, mode="complete")
+    return q, np.diagonal(r), -b[_TAP_INDEX] / np.diagonal(r)
 
 
 # -- draws ----------------------------------------------------------------------
@@ -247,7 +241,8 @@ def _normal_statistics(rng: np.random.Generator, m: int, dim: int):
 def _accepted_statistics(rungs, n: int, seed: int) -> list:
     """Count, mean (NORMALS,) and scatter of the accepted draws of Z, per rung.
 
-    A rung is (ch, tap, input_mean, window), and all rungs share (n, seed).
+    A rung is (optics, window), optics its batch's `_read_map`, and all rungs
+    share (n, seed).
     One pass draws u shard by shard, and each rung reduces its own accepted
     offsets d = u - u0 from its window centre with its window mask as weights,
     pooled shard by shard. Each rung then draws the rest from its exact law
@@ -258,11 +253,11 @@ def _accepted_statistics(rungs, n: int, seed: int) -> list:
     the window-free block from a fresh generator.
     """
     blocks, frames = [None] * len(rungs), {}
-    for i, (ch, tap, input_mean, window) in enumerate(rungs):
+    for i, (optics, window) in enumerate(rungs):
         if window is None or window[0] == window[1] == np.inf:
             blocks[i] = (n, *_normal_statistics(_generator(seed), n, NORMALS))
         else:
-            frames[i] = _tap_frame(ch, tap, input_mean)
+            frames[i] = _tap_frame(*optics)
     if not frames:
         return blocks
     rng = _generator(seed)
@@ -271,7 +266,7 @@ def _accepted_statistics(rungs, n: int, seed: int) -> list:
     for _, u in _shards(rng, n, 2):
         d = offsets[: u.size].reshape(u.shape)
         for i, (_, scale, centre) in frames.items():
-            window, (m, offset, s_uu) = rungs[i][3], pooled[i]
+            window, (m, offset, s_uu) = rungs[i][1], pooled[i]
             np.subtract(u, centre[:, None], out=d)
             keep = np.abs(scale[0] * d[0]) <= window[0]
             keep &= np.abs(scale[1] * d[1]) <= window[1]
@@ -327,28 +322,32 @@ class Moments:
         return count, float(self.mean[i]), float(self.m2[i]) / (count - 1)
 
 
-def _check_batch(rungs, n: int, seed: int) -> int:
-    """Validate a batch's n, seed and every rung's window; return the seed."""
+def _batch_moments(rungs, n: int, seed: int, plan) -> list[Moments]:
+    """Moments of each rung (ch, tap, input_mean, window) at (n, seed) under plan.
+
+    Raises before drawing if n, seed or any rung's window is invalid. Each
+    rung reads its optics once, with `_read_map`: its tap frame and the map
+    of its block through the MOMENT_COLUMNS rows both slice that one read.
+    """
     _check_n(n)
     seed = _check_seed(seed)
-    for *_, window in rungs:
+    reads = []
+    for ch, tap, input_mean, window in rungs:
         if window is not None and not (window[0] >= 0.0 and window[1] >= 0.0):
             raise ValueError("window half-widths must be non-negative numbers")
-    return seed
-
-
-def _moments(ch, tap, input_mean, plan, block) -> Moments:
-    """Map a block of (count, mean of Z, scatter of Z) through `affine_map`."""
-    count, mean, scatter = block
-    a, b = affine_map(ch, tap, input_mean, plan)
-    # an overflow here reads inf or nan, which the finite check reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        y_mean = a @ mean + b
-        y_scatter = a @ scatter @ a.T
-    m2, co = np.diagonal(y_scatter), y_scatter[_SIG, _TAP_MODE]
-    if not all(np.all(np.isfinite(values)) for values in (y_mean, m2, co)):
-        raise ValueError("trajectory moments must be finite")
-    return Moments(count, y_mean, m2, co)
+        reads.append((_read_map(ch, tap, input_mean, plan), window))
+    out = []
+    for ((a, b), _), (count, mean, scatter) in zip(reads, _accepted_statistics(reads, n, seed)):
+        a, b = a[_MOMENT_INDEX], b[_MOMENT_INDEX]
+        # an overflow here reads inf or nan, which the finite check reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_mean = a @ mean + b
+            y_scatter = a @ scatter @ a.T
+        m2, co = np.diagonal(y_scatter), y_scatter[_SIG, _TAP_MODE]
+        if not all(np.all(np.isfinite(values)) for values in (y_mean, m2, co)):
+            raise ValueError("trajectory moments must be finite")
+        out.append(Moments(count, y_mean, m2, co))
+    return out
 
 
 def windowed_moments(
@@ -369,12 +368,11 @@ def windowed_moments(
     ValueError on a NaN or negative half-width and on non-finite moments.
 
     Both kinds of batch yield one block of (count, mean of Z, scatter of Z)
-    from exact statistics (see the module docstring), mapped once through
-    `affine_map`. A window open in both quadratures draws the window-free one.
+    from exact statistics (see the module docstring), mapped through the
+    batch's one `_read_map`. A window open in both quadratures draws the
+    window-free one.
     """
-    rung = (ch, tap, input_mean, window)
-    (block,) = _accepted_statistics([rung], n, _check_batch([rung], n, seed))
-    return _moments(ch, tap, input_mean, plan, block)
+    return _batch_moments([(ch, tap, input_mean, window)], n, seed, plan)[0]
 
 
 def ladder_moments(rungs, n: int, seed: int) -> list[Moments]:
@@ -384,8 +382,7 @@ def ladder_moments(rungs, n: int, seed: int) -> list[Moments]:
     byte, but the rungs share one draw of the tap normals. Raises before
     drawing if any rung's window is invalid.
     """
-    blocks = _accepted_statistics(rungs, n, _check_batch(rungs, n, seed))
-    return [_moments(*rung[:3], None, block) for rung, block in zip(rungs, blocks)]
+    return _batch_moments(rungs, n, seed, None)
 
 
 # -- estimators ---------------------------------------------------------------

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats as scipy_stats
 
 from envcorr import montecarlo
 from envcorr.channel import ChannelParams, Detector, TapConfig
@@ -20,7 +19,7 @@ from envcorr.herald import (
 )
 
 import states
-from conftest import grid_points, heralded_readouts
+from conftest import assert_stderrs_match_spread, grid_points, heralded_readouts
 from states import signal_tap_state
 
 
@@ -186,22 +185,22 @@ class TestHeraldedStatistics:
     def test_stderrs_match_spread(self):
         # the printed stderrs against the seed-to-seed spread of the estimates
         # at two window scales (about 4200 and 660 kept), with one ladder call
-        # per seed: an F-test of the spread against the mean printed variance,
-        # two-sided at the 5 sigma level, as for the zero-window estimate
+        # per seed, as for the zero-window estimate. On that channel the gain
+        # carries under a tenth of the noise's printed variance, too little
+        # for 600 seeds to see; at eta 0.2, v_env 25, gamma 0.05 (about 2960
+        # kept) it carries about 62%, so the noise stderr must carry the gain's
         ch, tap, n, r = ChannelParams(0.9, 25.0), TapConfig(0.7), 10_000, 600
         rungs = [(ch, tap, scaled_window(ch, tap, scale)) for scale in (1.0, 0.35)]
+        lossy, faint = ChannelParams(0.2, 25.0), TapConfig(0.05)
+        rungs.append((lossy, faint, scaled_window(lossy, faint, 1.0)))
         keys = ("added_noise_x", "added_noise_p", "gain")
         values, variances = [], []
         for seed in range(80_000, 80_000 + r):
             ladder = heralded_ladder(rungs, n, seed)
             values.append([getattr(res, key) for res in ladder for key in keys])
             variances.append([getattr(res, f"{key}_stderr") ** 2 for res in ladder for key in keys])
-        values, variances = np.array(values), np.array(variances)
-        level = 2 * scipy_stats.norm.sf(5.0)
-        spread = scipy_stats.chi2(r - 1)
-        for j, ratio in enumerate(np.var(values, axis=0, ddof=1) / variances.mean(axis=0)):
-            p = 2 * min(spread.cdf((r - 1) * ratio), spread.sf((r - 1) * ratio))
-            assert p >= level, (rungs[j // 3][2], keys[j % 3], ratio)
+        labels = [(rung[0], rung[2], key) for rung in rungs for key in keys]
+        assert_stderrs_match_spread(values, variances, labels)
 
     def test_small_window_approaches_measured_value_conditioning(self):
         # the physical zero-window limit is heterodyne conditioning on the

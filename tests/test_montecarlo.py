@@ -33,7 +33,6 @@ from envcorr.montecarlo import (
     MOMENT_COLUMNS,
     SHARD_SIZE,
     Moments,
-    affine_map,
     estimate_added_noise,
     estimate_gain,
     estimate_zero_window,
@@ -42,7 +41,7 @@ from envcorr.montecarlo import (
 )
 
 import states
-from conftest import grid_points, heralded_readouts
+from conftest import assert_stderrs_match_spread, grid_points, heralded_readouts
 
 
 def het(gamma):
@@ -69,6 +68,12 @@ def column(records, name):
 def moments(ch, tap, input_mean, plan, n, seed, **kwargs):
     # the estimators' input for a window-free batch, drawn from sufficient statistics
     return windowed_moments(ch, tap, input_mean, None, n, seed, plan=plan, **kwargs)
+
+
+def moment_map(ch, tap, input_mean, plan):
+    """(A, b) such that a trajectory's MOMENT_COLUMNS are A Z + b: their rows of the batch's map."""
+    a, b = montecarlo._read_map(ch, tap, input_mean, plan)
+    return a[montecarlo._MOMENT_INDEX], b[montecarlo._MOMENT_INDEX]
 
 
 def sample_draws(n, seed):
@@ -280,16 +285,30 @@ class TestErrorPropagation:
             est.update(cli.mc_counterparts(ch, gamma, 100_000, seed, keys[3:]))
             values.append([est[key][0] for key in keys])
             variances.append([est[key][1] ** 2 for key in keys])
-        values, variances = np.array(values), np.array(variances)
-        # an F-test of the spread against the analytic variance (whose degrees
-        # of freedom are unbounded), two-sided at the 5 sigma level
-        level = 2 * scipy_stats.norm.sf(5.0)
-        dof = r - 1
-        for j, key in enumerate(keys):
-            ratio = np.var(values[:, j], ddof=1) / variances[:, j].mean()
-            spread = scipy_stats.chi2(dof)
-            p = 2 * min(spread.cdf(dof * ratio), spread.sf(dof * ratio))
-            assert p >= level, (key, ratio)
+        assert_stderrs_match_spread(values, variances, keys)
+
+    @pytest.mark.parametrize(
+        "eta, gamma, v_env",
+        [(0.1, 1.0, 1.0), (0.9, 0.6, 25.0)],
+        ids=["tap-mean-dominated", "noisy"],
+    )
+    def test_window_free_stderrs_match_spread(self, eta, gamma, v_env):
+        # every other quantity `envcorr` prints from window-free batches, read
+        # as it prints them, against its seed spread (the zero-window ones are
+        # above); the noises average two quadratures, the gains are first moments
+        ch, r = ChannelParams(eta, v_env), 400
+        keys = (
+            "added_noise_uncorrected", "excess_noise", "receiver_added_noise_no_ff",
+            "added_noise_hom_ff", "added_noise_het_state", "receiver_added_noise_ff",
+            "optimal_added_noise", "channel_gain_uncorrected", "gain_hom_ff", "gain_erasing",
+            "optimal_gain",
+        )
+        values, variances = [], []
+        for seed in range(90_000, 90_000 + r):
+            est = cli.mc_counterparts(ch, gamma, 10_000, seed, keys)
+            values.append([est[key][0] for key in keys])
+            variances.append([est[key][1] ** 2 for key in keys])
+        assert_stderrs_match_spread(values, variances, keys)
 
     def test_erasing_feedforward_closure(self):
         tap = het(0.8)
@@ -411,11 +430,12 @@ class TestMomentKernel:
             tracemalloc.stop()
         assert peak < 2**20
         assert out.n_accepted == kept.shape[1]
+        optics = montecarlo._read_map(CH, tap, (3.0, -2.0), None)
         ((count, mean, drawn_scatter),) = montecarlo._accepted_statistics(
-            [(CH, tap, (3.0, -2.0), window)], n, 29
+            [(optics, window)], n, 29
         )
         # back in the tap frame, the first two coordinates are those of u
-        q = montecarlo._tap_frame(CH, tap, (3.0, -2.0))[0][:, :2]
+        q = montecarlo._tap_frame(*optics)[0][:, :2]
         dev = kept - kept.mean(axis=1)[:, None]
         assert count == kept.shape[1]
         scatter = dev @ dev.T
@@ -465,11 +485,11 @@ def hom(gamma):
 class TestSufficientSampler:
     def test_affine_map_reproduces_the_optics(self):
         tap, plan = het(0.7), plan_optimal_heterodyne(CH, het(0.7))
-        a, b = affine_map(CH, tap, (3.0, -2.0), plan)
+        # every column, the tap and moment columns that the batches slice included
+        a, b = montecarlo._read_map(CH, tap, (3.0, -2.0), plan)
         draws = np.random.default_rng(5).standard_normal((montecarlo.NORMALS, 50))
-        cols = montecarlo._apply_optics(CH, tap, (3.0, -2.0), plan, draws)
-        moment_cols = np.array([cols[COLUMNS.index(name)] for name in MOMENT_COLUMNS])
-        assert np.allclose(moment_cols, a @ draws + b[:, None], rtol=0, atol=1e-12)
+        cols = np.array(montecarlo._apply_optics(CH, tap, (3.0, -2.0), plan, draws))
+        assert np.allclose(cols, a @ draws + b[:, None], rtol=0, atol=1e-12)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
@@ -483,7 +503,7 @@ class TestSufficientSampler:
         # (x_sig, p_sig, x_tap_mode, p_tap_mode): the oracle's two modes before the tap split
         ch, tap = ChannelParams(eta, v), TapConfig(gamma, detector)
         pair = states.signal_tap_state(ch, tap, states.coherent(*input_mean))
-        a, b = affine_map(ch, tap, input_mean, None)
+        a, b = moment_map(ch, tap, input_mean, None)
         names = ("x_sig", "p_sig", "x_tap_mode", "p_tap_mode")
         rows = [MOMENT_COLUMNS.index(name) for name in names]
         mean, cov = b[rows], (a @ a.T)[np.ix_(rows, rows)]
@@ -496,7 +516,7 @@ class TestSufficientSampler:
         ch, n = ChannelParams(eta, v), 10**6
         checks = []
 
-        base = exact_moments(*affine_map(ch, het(gamma), PROBE, None), n)
+        base = exact_moments(*moment_map(ch, het(gamma), PROBE, None), n)
         for value, _ in estimate_added_noise(base, eta):
             checks.append((value, (1 - eta) / eta * v))
         for value, _ in estimate_added_noise(base, eta, "receiver"):
@@ -510,13 +530,13 @@ class TestSufficientSampler:
         ]
 
         plan = plan_erasing_homodyne(ch, hom(gamma))
-        drawn = exact_moments(*affine_map(ch, hom(gamma), PROBE, plan), n)
+        drawn = exact_moments(*moment_map(ch, hom(gamma), PROBE, plan), n)
         (value, _), _ = estimate_added_noise(drawn, plan.optical_gain)
         checks.append((value, added_noise_hom_ff(ch, hom(gamma))))
         checks.append((estimate_gain(drawn, PROBE, ("x",))[0], 1 / eta))
 
         plan = plan_erasing_heterodyne(ch, het(gamma))
-        drawn = exact_moments(*affine_map(ch, het(gamma), PROBE, plan), n)
+        drawn = exact_moments(*moment_map(ch, het(gamma), PROBE, plan), n)
         for value, _ in estimate_added_noise(drawn, plan.optical_gain):
             checks.append((value, added_noise_het_state(ch, het(gamma))))
         for value, _ in estimate_added_noise(drawn, plan.optical_gain, "receiver"):
@@ -524,7 +544,7 @@ class TestSufficientSampler:
         checks.append((estimate_gain(drawn, PROBE)[0], 1 / eta))
 
         plan = plan_optimal_heterodyne(ch, het(gamma))
-        drawn = exact_moments(*affine_map(ch, het(gamma), PROBE, plan), n)
+        drawn = exact_moments(*moment_map(ch, het(gamma), PROBE, plan), n)
         for value, _ in estimate_added_noise(drawn, plan.optical_gain):
             checks.append((value, optimal_added_noise(ch, het(gamma))))
         checks.append((estimate_gain(drawn, PROBE)[0], plan.optical_gain))
@@ -544,7 +564,7 @@ class TestSufficientSampler:
         # batches of at most 10 draws are drawn explicitly; from 11 on the
         # batch takes the Bartlett route
         tap, plan = het(0.5), plan_erasing_heterodyne(CH, het(0.5))
-        a, b = affine_map(CH, tap, PROBE, plan)
+        a, b = moment_map(CH, tap, PROBE, plan)
         var = np.diag(a @ a.T)
         means, scaled = [], []
         for seed in range(400):
@@ -695,13 +715,14 @@ class TestHeraldedSampler:
         # normals, Wishart(I8, m - 1) and Wishart(I8, 2); m = 4 draws the rest
         # explicitly, m = 12 by Bartlett decomposition
         tap, n = het(0.7), 2_000
-        q = montecarlo._tap_frame(CH, tap, PROBE)[0]
+        optics = montecarlo._read_map(CH, tap, PROBE, None)
+        q = montecarlo._tap_frame(*optics)[0]
         mean_sq, scatter_tr, cross_tr = [], [], []
         for seed in range(300):
             _, x, p = heralded_readouts(CH, tap, PROBE, n, seed)
             half = np.sort(np.maximum(np.abs(x), np.abs(p)))[accepted - 1]
             ((count, mean, scatter),) = montecarlo._accepted_statistics(
-                [(CH, tap, PROBE, (half, half))], n, seed
+                [(optics, (half, half))], n, seed
             )
             assert count == accepted
             mean, scatter = q.T @ mean, q.T @ scatter @ q
@@ -808,6 +829,27 @@ class TestHeraldedLadder:
                 assert a.tobytes() == b.tobytes()
 
 
+class TestOneMapRead:
+    def test_each_batch_reads_its_optics_once(self, monkeypatch):
+        # a batch's whole map, tap frame included, comes from one pass of the
+        # optics: one for a window-free batch, one per rung of a ladder
+        calls = []
+        apply_optics = montecarlo._apply_optics
+
+        def counted(*args):
+            calls.append(args)
+            return apply_optics(*args)
+
+        monkeypatch.setattr(montecarlo, "_apply_optics", counted)
+        tap = het(0.7)
+        windowed_moments(CH, tap, PROBE, None, 10**5, 3, plan=plan_optimal_heterodyne(CH, tap))
+        assert len(calls) == 1
+        calls.clear()
+        rungs = [(CH, tap, PROBE, window) for window in (OPEN, (1.5, 2.0), (np.inf, 1.0))]
+        montecarlo.ladder_moments(rungs, 10_000, 3)
+        assert len(calls) == len(rungs)
+
+
 class TestTapFrame:
     @pytest.mark.parametrize("detector", list(Detector), ids=lambda d: d.value)
     def test_readout_is_diagonal_in_the_frame(self, detector):
@@ -820,8 +862,9 @@ class TestTapFrame:
             else:
                 std = homodyne_tap_std(ch, tap)
             for input_mean in [(0.0, 0.0), PROBE, (1e7, -1e7)]:
-                t_map, c = montecarlo._read_map(ch, tap, input_mean, None, montecarlo._TAP_INDEX)
-                q, scale, centre = montecarlo._tap_frame(ch, tap, input_mean)
+                a, b = montecarlo._read_map(ch, tap, input_mean, None)
+                t_map, c = a[montecarlo._TAP_INDEX], b[montecarlo._TAP_INDEX]
+                q, scale, centre = montecarlo._tap_frame(a, b)
                 frame = t_map @ q[:, :2]
                 assert frame[0, 1] == 0.0 and frame[1, 0] == 0.0
                 assert np.diagonal(frame) == pytest.approx(scale, rel=1e-12)
